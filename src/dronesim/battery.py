@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 DEFAULT_COEFFS = (1.0, -0.003, 1.42421402327237e-05, -2.5877842137707736e-08)
 DEFAULT_T_MAX = 427.21
 DEFAULT_CUTOFF = 0.30
@@ -53,7 +51,7 @@ class BatteryModel:
         _check_monotone(self.coeffs, self.t_max)
         if self.cutoff_charge is None:
             object.__setattr__(self, "cutoff_charge", self.poly(self.t_max))
-        elif abs(self.poly(self.t_max) - self.cutoff_charge) > 1e-6:
+        elif not abs(self.poly(self.t_max) - self.cutoff_charge) <= 1e-6:
             raise BatteryModelError(
                 f"cutoff_charge {self.cutoff_charge} does not match "
                 f"P(t_max) = {self.poly(self.t_max)!r}"
@@ -143,6 +141,8 @@ def fit_discharge_polynomial(
     time. Raises BatteryModelError for under-determined input or a fit that
     fails validation.
     """
+    import numpy as np  # only the fit needs it; keeps `import dronesim` light
+
     if len({t for t, _ in samples}) < 4:
         raise BatteryModelError("need at least 4 samples with distinct times")
     ts = np.asarray([t for t, _ in samples], dtype=float)

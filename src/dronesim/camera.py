@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .geometry import Vec3
@@ -31,8 +33,10 @@ class CameraConfig:
     def __post_init__(self):
         if not 0.0 < self.aperture_deg < 180.0:
             raise ValueError("aperture must be in (0, 180) degrees")
+        if not math.isfinite(self.mount_yaw_offset_deg):
+            raise ValueError("mount yaw offset must be finite")
 
-    @property
+    @cached_property
     def tan_half_aperture(self) -> float:
         return math.tan(math.radians(self.aperture_deg / 2.0))
 
@@ -52,34 +56,45 @@ def project_light(
 ) -> Optional[tuple[int, int]]:
     """Project a world-frame point onto the pixel plane, or None if out of view."""
     yaw = math.radians(camera_yaw_deg + config.mount_yaw_offset_deg)
-    c = math.cos(yaw)
-    s = math.sin(yaw)
-    return _project(
-        camera_position, c, s,
-        source_position[0], source_position[1], source_position[2],
+    found = detect_sources(
+        camera_position, math.cos(yaw), math.sin(yaw),
         config.tan_half_aperture,
+        [(source_position[0], source_position[1], source_position[2], None, "")],
     )
+    return (found[0].u, found[0].v) if found else None
 
 
-def _project(cam_pos, cos_yaw, sin_yaw, sx, sy, sz, tan_half):
-    """Projection core shared with the capture loop (precomputed trig)."""
-    dx = sx - cam_pos[0]
-    dy = sy - cam_pos[1]
-    dz = sz - cam_pos[2]
-    # World -> camera frame: x forward, y left, z up.
-    xc = cos_yaw * dx + sin_yaw * dy
-    if xc <= 0.0:
-        return None
-    yc = -sin_yaw * dx + cos_yaw * dy
-    # Image-plane tangents: right and down are positive.
-    ty = -yc / xc
-    tz = -dz / xc
-    if ty < -tan_half or ty > tan_half or tz < -tan_half or tz > tan_half:
-        return None
-    u = int((ty / tan_half + 1.0) * _HALF)
-    v = int((tz / tan_half + 1.0) * _HALF)
-    if u > RESOLUTION - 1:
-        u = RESOLUTION - 1
-    if v > RESOLUTION - 1:
-        v = RESOLUTION - 1
-    return u, v
+# Sort key (u, v, source_id) and NamedTuple construction, both without a
+# Python-level call per detection.
+_detection_key = itemgetter(0, 1, 3)
+_new_detection = tuple.__new__
+
+
+def detect_sources(cam_pos, cos_yaw, sin_yaw, tan_half, sources) -> list[Detection]:
+    """Detections of (x, y, z, color, source_id) sources, sorted by (u, v, id).
+
+    Projection core shared with the world's capture loop (precomputed trig).
+    """
+    cx, cy, cz = cam_pos
+    last = RESOLUTION - 1
+    out = []
+    for sx, sy, sz, color, source_id in sources:
+        dx = sx - cx
+        dy = sy - cy
+        # World -> camera frame: x forward, y left, z up.
+        xc = cos_yaw * dx + sin_yaw * dy
+        if xc <= 0.0:
+            continue
+        yc = -sin_yaw * dx + cos_yaw * dy
+        # Image-plane tangents: right and down are positive.
+        ty = -yc / xc
+        tz = -(sz - cz) / xc
+        if ty < -tan_half or ty > tan_half or tz < -tan_half or tz > tan_half:
+            continue
+        u = int((ty / tan_half + 1.0) * _HALF)
+        v = int((tz / tan_half + 1.0) * _HALF)
+        out.append(_new_detection(Detection, (
+            u if u < last else last, v if v < last else last, color, source_id,
+        )))
+    out.sort(key=_detection_key)
+    return out

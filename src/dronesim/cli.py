@@ -39,13 +39,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _tick_count(text: str) -> int:
+    try:
+        ticks = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if ticks < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {ticks}")
+    return ticks
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="dronesim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("scenario", help="scenario document path")
-    p_run.add_argument("--ticks", type=int, default=None,
+    p_run.add_argument("--ticks", type=_tick_count, default=None,
                        help="override the scenario duration")
     p_run.add_argument("--out", default=".", help="output directory for CSVs")
 

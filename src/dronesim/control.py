@@ -88,6 +88,8 @@ class PDGains:
             raise ValueError("kp must be > 0")
         if self.kd < 0.0:
             raise ValueError("kd must be >= 0")
+        if not (math.isfinite(self.kp) and math.isfinite(self.kd)):
+            raise ValueError("gains must be finite")
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,11 @@ class ControllerLimits:
             "max_linear_accel",
             "max_yaw_accel",
         ):
-            if not getattr(self, name) > 0.0:
+            value = getattr(self, name)
+            if not value > 0.0:
                 raise ValueError(f"{name} must be > 0")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -164,21 +169,7 @@ def velocity_control_step(
     if cmd.frame == BODY:
         linear = body_to_world(linear, state.yaw)
     v_des = saturate(linear, limits.max_linear_speed)
-    new_velocity, vel_err = _track_vector(
-        state.velocity, v_des, memory.vel_err, gains.velocity,
-        limits.max_linear_accel, limits.max_linear_speed, dt,
-    )
-    new_rate, rate_err = _track_scalar(
-        state.yaw_rate, cmd.angular, memory.yaw_rate_err, gains.velocity_yaw,
-        limits.max_yaw_accel, dt,
-    )
-    new_memory = ControllerMemory(
-        vel_err=vel_err,
-        yaw_rate_err=rate_err,
-        pos_err=memory.pos_err,
-        yaw_err=memory.yaw_err,
-    )
-    return new_velocity, new_rate, new_memory
+    return _velocity_loop(state, memory, v_des, cmd.angular, gains, limits, dt)
 
 
 def position_control_step(
@@ -260,21 +251,10 @@ def drone_control_step(
     v_des, rate_des, memory = position_control_step(
         state, memory, target, target_yaw, gains, limits, dt
     )
-    new_velocity, vel_err = _track_vector(
-        state.velocity, v_des, memory.vel_err, gains.velocity,
-        limits.max_linear_accel, limits.max_linear_speed, dt,
-    )
-    new_rate, rate_err = _track_scalar(
-        state.yaw_rate, rate_des, memory.yaw_rate_err, gains.velocity_yaw,
-        limits.max_yaw_accel, dt,
+    new_velocity, new_rate, memory = _velocity_loop(
+        state, memory, v_des, rate_des, gains, limits, dt
     )
     new_rate = clamp(new_rate, -limits.max_yaw_rate, limits.max_yaw_rate)
-    memory = ControllerMemory(
-        vel_err=vel_err,
-        yaw_rate_err=rate_err,
-        pos_err=memory.pos_err,
-        yaw_err=memory.yaw_err,
-    )
     return new_velocity, new_rate, memory
 
 
@@ -314,6 +294,25 @@ def integrate(state: DroneState, new_velocity: Vec3, new_yaw_rate: float, dt: fl
         yaw_rate=new_yaw_rate,
         charge=state.charge,
     )
+
+
+def _velocity_loop(state, memory, v_des, rate_des, gains, limits, dt):
+    """Track a desired world velocity and yaw rate; the tail of both loops."""
+    new_velocity, vel_err = _track_vector(
+        state.velocity, v_des, memory.vel_err, gains.velocity,
+        limits.max_linear_accel, limits.max_linear_speed, dt,
+    )
+    new_rate, rate_err = _track_scalar(
+        state.yaw_rate, rate_des, memory.yaw_rate_err, gains.velocity_yaw,
+        limits.max_yaw_accel, dt,
+    )
+    new_memory = ControllerMemory(
+        vel_err=vel_err,
+        yaw_rate_err=rate_err,
+        pos_err=memory.pos_err,
+        yaw_err=memory.yaw_err,
+    )
+    return new_velocity, new_rate, new_memory
 
 
 def _track_vector(current, desired, prev_err, pd, accel_max, speed_max, dt):

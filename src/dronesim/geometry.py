@@ -31,18 +31,6 @@ def norm(v: Vec3) -> float:
     return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
-def sub(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def add(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def scale(v: Vec3, s: float) -> Vec3:
-    return (v[0] * s, v[1] * s, v[2] * s)
-
-
 def body_to_world(v: Vec3, yaw_deg: float) -> Vec3:
     """Rotate a body-frame vector into the world frame by the drone's yaw.
 

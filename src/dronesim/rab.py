@@ -24,6 +24,8 @@ class RabConfig:
     def __post_init__(self):
         if self.range_m < 0.0:
             raise ValueError("range must be >= 0")
+        if not math.isfinite(self.range_m):
+            raise ValueError("range must be finite")
         if self.payload_max < 1:
             raise ValueError("payload_max must be >= 1")
 
@@ -34,6 +36,13 @@ class RabReading(NamedTuple):
     vertical_bearing_deg: float
     payload: bytes
     sender_id: str
+
+
+# Same product as math.degrees, without the call.
+_RAD_TO_DEG = 180.0 / math.pi
+_atan2, _fmod, _hypot, _sqrt = math.atan2, math.fmod, math.hypot, math.sqrt
+# NamedTuple construction without the generated __new__ wrapper.
+_new_reading = tuple.__new__
 
 
 class PayloadError(ValueError):
@@ -48,16 +57,20 @@ def make_reading(
     sender_id: str,
 ) -> RabReading:
     """Build the reading a receiver gets for a delivered message."""
-    dx = sender_position[0] - receiver_position[0]
-    dy = sender_position[1] - receiver_position[1]
-    dz = sender_position[2] - receiver_position[2]
-    horiz = math.hypot(dx, dy)
-    rng = math.sqrt(dx * dx + dy * dy + dz * dz)
-    bearing = math.degrees(math.atan2(dy, dx)) - receiver_yaw_deg
-    # Wrap to (-180, 180].
-    bearing = math.fmod(bearing + 180.0, 360.0)
+    rx, ry, rz = receiver_position
+    sx, sy, sz = sender_position
+    dx = sx - rx
+    dy = sy - ry
+    dz = sz - rz
+    horiz = _hypot(dx, dy)
+    rng = _sqrt(dx * dx + dy * dy + dz * dz)
+    bearing = _atan2(dy, dx) * _RAD_TO_DEG - receiver_yaw_deg
+    # Wrap to (-180, 180]. Always through fmod, unlike geometry.wrap_deg: for
+    # in-range angles the two differ in the last bit, and perfbench's sensor
+    # CRC pins the bits of every reading.
+    bearing = _fmod(bearing + 180.0, 360.0)
     if bearing <= 0.0:
         bearing += 360.0
     bearing -= 180.0
-    elevation = math.degrees(math.atan2(dz, horiz))
-    return RabReading(rng, bearing, elevation, payload, sender_id)
+    elevation = _atan2(dz, horiz) * _RAD_TO_DEG
+    return _new_reading(RabReading, (rng, bearing, elevation, payload, sender_id))

@@ -13,23 +13,20 @@ equality), which the test suite checks over randomized scenarios.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from types import SimpleNamespace
+from typing import Any, Callable, ClassVar, NamedTuple, Optional
 
-from .battery import BatteryModel, BatteryModelError
+from .battery import BatteryModel
 from .camera import CameraConfig
-from .control import BODY, POSITION, VELOCITY, WORLD, Command, ControllerLimits, GainSet, PDGains
+from .control import BODY, WORLD, Command, ControllerLimits, GainSet
 from .geometry import Vec3, is_finite3
 from .rab import RabConfig
 
 FORMAT_VERSION = 1
-
-DEFAULT_DT = 0.1
-DEFAULT_ARENA_MIN = (-1.5, -1.5, 0.0)
-DEFAULT_ARENA_MAX = (1.5, 1.5, 3.0)
 
 
 class ScenarioError(ValueError):
@@ -80,16 +77,18 @@ class DroneSpec:
 @dataclass(frozen=True)
 class Scenario:
     name: str = "scenario"
-    dt: float = DEFAULT_DT
+    dt: float = 0.1
     duration: int = 0
-    arena_min: Vec3 = DEFAULT_ARENA_MIN
-    arena_max: Vec3 = DEFAULT_ARENA_MAX
+    arena_min: Vec3 = (-1.5, -1.5, 0.0)
+    arena_max: Vec3 = (1.5, 1.5, 3.0)
     drones: tuple[DroneSpec, ...] = ()
     lights: tuple[LightSpec, ...] = ()
     scripts: dict[str, tuple[tuple[int, Command], ...]] = field(default_factory=dict)
     waypoints: dict[str, WaypointPlan] = field(default_factory=dict)
     noise_seed: int = 0
     noise_position_std: float = 0.0
+    # The document format this scenario renders to; not a field.
+    format_version: ClassVar[int] = FORMAT_VERSION
 
     def __post_init__(self):
         validate_scenario(self)
@@ -117,6 +116,8 @@ def validate_scenario(s: Scenario) -> None:
             )
     if s.noise_position_std < 0.0:
         raise ScenarioError("noise std must be >= 0", "[scenario] noise_position_std")
+    if not math.isfinite(s.noise_position_std):
+        raise ScenarioError("noise std must be finite", "[scenario] noise_position_std")
     ids = [d.id for d in s.drones]
     if len(set(ids)) != len(ids):
         raise ScenarioError("duplicate drone id", "[scenario] drones")
@@ -168,10 +169,12 @@ def validate_scenario(s: Scenario) -> None:
             raise ScenarioError(
                 "a drone cannot have both a script and a waypoint plan", loc
             )
-        if not plan.speed > 0.0:
-            raise ScenarioError("speed must be > 0", f"{loc} speed")
-        if not plan.threshold > 0.0:
-            raise ScenarioError("threshold must be > 0", f"{loc} threshold")
+        for name in ("speed", "threshold"):
+            value = getattr(plan, name)
+            if not value > 0.0:
+                raise ScenarioError(f"{name} must be > 0", f"{loc} {name}")
+            if not math.isfinite(value):
+                raise ScenarioError(f"{name} must be finite", f"{loc} {name}")
         if not plan.points:
             raise ScenarioError("at least one waypoint required", f"{loc} points")
         for p in plan.points:
@@ -187,26 +190,182 @@ def _check_color(color, location):
 
 
 # --------------------------------------------------------------------------
+# The field table. One row per key drives parsing, rendering, the rejection
+# of unknown keys and the check for required ones.
+
+
+class _Codec(NamedTuple):
+    """Text conversion for one kind of value; ``parse`` raises ValueError
+    with the message reported at the key."""
+
+    parse: Callable[[str], Any]
+    render: Callable[[Any], str]
+    block: bool = False  # a multi-line value, converted one indented line at a time
+
+
+def _checked(convert, failure: str):
+    """A parser that reports a failed conversion as ``failure`` of the text."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValueError(failure.format(text)) from None
+    return parse
+
+
+def _parse_numbers(text: str, count: int, wrong_count: str, convert=float) -> tuple:
+    parts = text.split()
+    if len(parts) != count:
+        raise ValueError(wrong_count)
+    try:
+        return tuple(convert(p) for p in parts)
+    except ValueError:
+        noun = "an integer" if convert is int else "a number"
+        raise ValueError(f"not {noun} in {text!r}") from None
+
+
+def _parse_version(text: str) -> int:
+    version = _INT.parse(text)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {version}")
+    return version
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "on", "yes", "1"):
+        return True
+    if lowered in ("false", "off", "no", "0"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_command(line: str) -> tuple[int, Command]:
+    parts = line.split()
+    if len(parts) != 7:
+        raise ValueError(f"expected 'tick kind frame x y z angular', got {line!r}")
+    try:
+        tick = int(parts[0])
+        linear = (float(parts[3]), float(parts[4]), float(parts[5]))
+        angular = float(parts[6])
+    except ValueError:
+        raise ValueError(f"bad number in {line!r}") from None
+    if parts[2] not in (BODY, WORLD):
+        raise ValueError(f"unknown frame {parts[2]!r}")
+    return tick, Command(parts[1], parts[2], linear, angular)
+
+
+def _render_floats(values) -> str:
+    return " ".join(repr(v) for v in values)
+
+
+def _render_command(entry: tuple[int, Command]) -> str:
+    tick, cmd = entry
+    return f"{tick} {cmd.kind} {cmd.frame} {_render_floats(cmd.linear)} {cmd.angular!r}"
+
+
+_STR = _Codec(str.strip, str)
+_INT = _Codec(_checked(int, "not an integer: {!r}"), str)
+_FLOAT = _Codec(_checked(float, "not a number: {!r}"), repr)
+_VERSION = _Codec(_parse_version, str)
+_VEC3 = _Codec(lambda text: _parse_numbers(text, 3, "expected three numbers"), _render_floats)
+_FOUR_FLOATS = _Codec(lambda text: _parse_numbers(text, 4, "expected 4 numbers"), _render_floats)
+# Channel ranges are checked by validate_scenario.
+_COLOR = _Codec(lambda text: _parse_numbers(text, 3, "expected three integers", int),
+                lambda color: " ".join(str(ch) for ch in color))
+_BOOL = _Codec(_parse_bool, lambda on: "true" if on else "false")
+_SWITCH = _Codec(_parse_bool, lambda _: "on")  # rendered only while the object exists
+_HEX = _Codec(_checked(lambda text: bytes.fromhex(text.replace(" ", "")), "not hex bytes: {!r}"),
+              bytes.hex)
+_POINTS = _Codec(
+    lambda line: _parse_numbers(line, 3, f"expected three numbers per point, got {line!r}"),
+    _render_floats, block=True)
+_COMMANDS = _Codec(_parse_command, _render_command, block=True)
+
+# When a key is written: only away from its default, always, or always and
+# it must be present when read.
+_OPTIONAL, _ALWAYS, _REQUIRED = range(3)
+
+
+class _Field(NamedTuple):
+    key: str
+    codec: _Codec
+    group: Optional[str]  # None: an attribute of the spec; else a key of _GROUPS
+    attr: str
+    presence: int = _OPTIONAL
+
+
+# Objects that several drone keys fill in, by attribute path from the spec:
+# (stock instance that unset keys keep, error location; None: the first key).
+_GROUPS = {
+    "gains.velocity": (DroneSpec.gains.velocity, None),
+    "gains.velocity_yaw": (DroneSpec.gains.velocity_yaw, None),
+    "gains.position": (DroneSpec.gains.position, None),
+    "gains.position_yaw": (DroneSpec.gains.position_yaw, None),
+    "limits": (DroneSpec.limits, "limits"),
+    "camera": (CameraConfig(), None),
+    "rab": (DroneSpec.rab, "rab"),
+    "battery": (DroneSpec.battery, "battery"),
+}
+
+_SCENARIO_FIELDS = (
+    _Field("format_version", _VERSION, None, "format_version", _ALWAYS),
+    _Field("name", _STR, None, "name", _ALWAYS),
+    _Field("dt", _FLOAT, None, "dt", _ALWAYS),
+    _Field("duration", _INT, None, "duration", _ALWAYS),
+    _Field("arena_min", _VEC3, None, "arena_min", _ALWAYS),
+    _Field("arena_max", _VEC3, None, "arena_max", _ALWAYS),
+    _Field("noise_seed", _INT, None, "noise_seed"),
+    _Field("noise_position_std", _FLOAT, None, "noise_position_std"),
+)
+# The named sections, ``[kind ident]``.
+_SECTIONS = {
+    "drone": (
+        _Field("position", _VEC3, None, "position", _ALWAYS),
+        _Field("yaw", _FLOAT, None, "yaw", _ALWAYS),
+        _Field("charge", _FLOAT, None, "charge", _ALWAYS),
+        _Field("kp_vel", _FLOAT, "gains.velocity", "kp"),
+        _Field("kd_vel", _FLOAT, "gains.velocity", "kd"),
+        _Field("kp_vel_yaw", _FLOAT, "gains.velocity_yaw", "kp"),
+        _Field("kd_vel_yaw", _FLOAT, "gains.velocity_yaw", "kd"),
+        _Field("kp_pos", _FLOAT, "gains.position", "kp"),
+        _Field("kd_pos", _FLOAT, "gains.position", "kd"),
+        _Field("kp_pos_yaw", _FLOAT, "gains.position_yaw", "kp"),
+        _Field("kd_pos_yaw", _FLOAT, "gains.position_yaw", "kd"),
+        _Field("max_speed", _FLOAT, "limits", "max_linear_speed"),
+        _Field("max_yaw_rate", _FLOAT, "limits", "max_yaw_rate"),
+        _Field("max_accel", _FLOAT, "limits", "max_linear_accel"),
+        _Field("max_yaw_accel", _FLOAT, "limits", "max_yaw_accel"),
+        _Field("camera", _SWITCH, None, "camera"),
+        _Field("camera_aperture", _FLOAT, "camera", "aperture_deg"),
+        _Field("camera_yaw_offset", _FLOAT, "camera", "mount_yaw_offset_deg"),
+        _Field("rab_range", _FLOAT, "rab", "range_m"),
+        _Field("rab_payload_max", _INT, "rab", "payload_max"),
+        _Field("rab_broadcast", _HEX, None, "rab_broadcast"),
+        _Field("led_color", _COLOR, None, "led_color"),
+        _Field("led_on", _BOOL, None, "led_on"),
+        _Field("battery_coeffs", _FOUR_FLOATS, "battery", "coeffs"),
+        _Field("battery_tmax", _FLOAT, "battery", "t_max"),
+        _Field("battery_cutoff", _FLOAT, "battery", "cutoff_charge"),
+        _Field("battery_load_factor", _FLOAT, "battery", "load_factor"),
+    ),
+    "light": (
+        _Field("position", _VEC3, None, "position", _REQUIRED),
+        _Field("color", _COLOR, None, "color", _ALWAYS),
+    ),
+    "script": (
+        _Field("commands", _COMMANDS, None, "commands", _REQUIRED),
+    ),
+    "waypoints": (
+        _Field("speed", _FLOAT, None, "speed", _REQUIRED),
+        _Field("threshold", _FLOAT, None, "threshold", _ALWAYS),
+        _Field("points", _POINTS, None, "points", _REQUIRED),
+    ),
+}
+
+
+# --------------------------------------------------------------------------
 # Parsing
-
-_SCENARIO_KEYS = {
-    "format_version", "name", "dt", "duration", "arena_min", "arena_max",
-    "noise_seed", "noise_position_std",
-}
-_DRONE_KEYS = {
-    "position", "yaw", "charge",
-    "kp_vel", "kd_vel", "kp_vel_yaw", "kd_vel_yaw",
-    "kp_pos", "kd_pos", "kp_pos_yaw", "kd_pos_yaw",
-    "max_speed", "max_yaw_rate", "max_accel", "max_yaw_accel",
-    "camera", "camera_aperture", "camera_yaw_offset",
-    "rab_range", "rab_payload_max", "rab_broadcast",
-    "led_color", "led_on",
-    "battery_coeffs", "battery_tmax", "battery_cutoff", "battery_load_factor",
-}
-_LIGHT_KEYS = {"position", "color"}
-_SCRIPT_KEYS = {"commands"}
-_WAYPOINT_KEYS = {"speed", "threshold", "points"}
-
 
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
@@ -233,12 +392,9 @@ def load_scenario(text: str) -> Scenario:
 
     if not parser.has_section("scenario"):
         raise ScenarioError("missing [scenario] section", "[scenario]")
-    world = _Section("[scenario]", dict(parser.items("scenario")), _SCENARIO_KEYS)
-    version = world.get_int("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise ScenarioError(
-            f"unsupported format_version {version}", "[scenario] format_version"
-        )
+    raw = dict(parser.items("scenario"))
+    world = _read_section("[scenario]", raw, _SCENARIO_FIELDS).pop(None, {})
+    world.pop("format_version", None)  # its codec has checked it
 
     drones: list[DroneSpec] = []
     lights: list[LightSpec] = []
@@ -249,49 +405,24 @@ def load_scenario(text: str) -> Scenario:
             continue
         kind, _, ident = section.partition(" ")
         ident = ident.strip()
+        location = f"[{section}]"
         if not ident:
-            raise ScenarioError(f"section [{section}] needs a name", f"[{section}]")
-        items = _Section(f"[{section}]", dict(parser.items(section)), None)
+            raise ScenarioError(f"section [{section}] needs a name", location)
+        if kind not in _SECTIONS:
+            raise ScenarioError(f"unknown section kind {kind!r}", location)
+        values = _read_section(location, dict(parser.items(section)), _SECTIONS[kind])
+        spec = values.pop(None, {})
         if kind == "drone":
-            items.allowed = _DRONE_KEYS
-            drones.append(_parse_drone(ident, items))
+            drones.append(_build_drone(location, ident, spec, values))
         elif kind == "light":
-            items.allowed = _LIGHT_KEYS
-            lights.append(
-                LightSpec(
-                    id=ident,
-                    position=items.get_vec3("position", required=True),
-                    color=items.get_color("color", (255, 255, 255)),
-                )
-            )
+            lights.append(LightSpec(id=ident, **spec))
         elif kind == "script":
-            items.allowed = _SCRIPT_KEYS
-            scripts[ident] = _parse_script(items)
-        elif kind == "waypoints":
-            items.allowed = _WAYPOINT_KEYS
-            waypoints[ident] = WaypointPlan(
-                speed=items.get_float("speed", required=True),
-                threshold=items.get_float("threshold", 0.05),
-                points=items.get_points("points"),
-            )
+            scripts[ident] = spec["commands"]
         else:
-            raise ScenarioError(f"unknown section kind {kind!r}", f"[{section}]")
-        items.reject_unknown()
-    world.reject_unknown()
+            waypoints[ident] = WaypointPlan(**spec)
 
-    return Scenario(
-        name=world.get_str("name", "scenario"),
-        dt=world.get_float("dt", DEFAULT_DT),
-        duration=world.get_int("duration", 0),
-        arena_min=world.get_vec3("arena_min", DEFAULT_ARENA_MIN),
-        arena_max=world.get_vec3("arena_max", DEFAULT_ARENA_MAX),
-        drones=tuple(drones),
-        lights=tuple(lights),
-        scripts=scripts,
-        waypoints=waypoints,
-        noise_seed=world.get_int("noise_seed", 0),
-        noise_position_std=world.get_float("noise_position_std", 0.0),
-    )
+    return Scenario(drones=tuple(drones), lights=tuple(lights), scripts=scripts,
+                    waypoints=waypoints, **world)
 
 
 def load_scenario_file(path) -> Scenario:
@@ -299,247 +430,51 @@ def load_scenario_file(path) -> Scenario:
         return load_scenario(fh.read())
 
 
-class _Section:
-    """One parsed section with typed accessors and unknown-key rejection."""
-
-    def __init__(self, location, raw, allowed):
-        self.location = location
-        self.raw = raw
-        self.allowed = allowed
-        self.seen = set()
-
-    def _fetch(self, key, required):
-        self.seen.add(key)
-        if key not in self.raw:
-            if required:
-                raise ScenarioError("missing required key", f"{self.location} {key}")
-            return None
-        return self.raw[key]
-
-    def get_str(self, key, default=None, required=False):
-        value = self._fetch(key, required)
-        return default if value is None else value.strip()
-
-    def get_float(self, key, default=None, required=False):
-        value = self._fetch(key, required)
-        if value is None:
-            return default
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise ScenarioError(f"not a number: {value!r}",
-                                f"{self.location} {key}") from exc
-
-    def get_int(self, key, default=None, required=False):
-        value = self._fetch(key, required)
-        if value is None:
-            return default
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ScenarioError(f"not an integer: {value!r}",
-                                f"{self.location} {key}") from exc
-
-    def get_bool(self, key, default=False):
-        value = self._fetch(key, False)
-        if value is None:
-            return default
-        lowered = value.strip().lower()
-        if lowered in ("true", "on", "yes", "1"):
-            return True
-        if lowered in ("false", "off", "no", "0"):
-            return False
-        raise ScenarioError(f"not a boolean: {value!r}", f"{self.location} {key}")
-
-    def get_vec3(self, key, default=None, required=False):
-        value = self._fetch(key, required)
-        if value is None:
-            return default
-        parts = value.split()
-        if len(parts) != 3:
-            raise ScenarioError("expected three numbers", f"{self.location} {key}")
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise ScenarioError(f"not a number in {value!r}",
-                                f"{self.location} {key}") from exc
-
-    def get_color(self, key, default=None, required=False):
-        value = self._fetch(key, required)
-        if value is None:
-            return default
-        parts = value.split()
-        if len(parts) != 3:
-            raise ScenarioError("expected three integers", f"{self.location} {key}")
-        try:
-            color = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ScenarioError(f"not an integer in {value!r}",
-                                f"{self.location} {key}") from exc
-        _check_color(color, f"{self.location} {key}")
-        return color
-
-    def get_bytes(self, key):
-        value = self._fetch(key, False)
-        if value is None:
-            return None
-        try:
-            return bytes.fromhex(value.replace(" ", ""))
-        except ValueError as exc:
-            raise ScenarioError(f"not hex bytes: {value!r}",
-                                f"{self.location} {key}") from exc
-
-    def get_floats(self, key, count, default=None):
-        value = self._fetch(key, False)
-        if value is None:
-            return default
-        parts = value.split()
-        if len(parts) != count:
-            raise ScenarioError(f"expected {count} numbers", f"{self.location} {key}")
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise ScenarioError(f"not a number in {value!r}",
-                                f"{self.location} {key}") from exc
-
-    def get_points(self, key):
-        value = self._fetch(key, True)
-        points = []
-        for line in value.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ScenarioError(f"expected three numbers per point, got {line!r}",
-                                    f"{self.location} {key}")
-            try:
-                points.append(tuple(float(p) for p in parts))
-            except ValueError as exc:
-                raise ScenarioError(f"not a number in {line!r}",
-                                    f"{self.location} {key}") from exc
-        return tuple(points)
-
-    def reject_unknown(self):
-        unknown = set(self.raw) - (self.allowed or set())
-        if unknown:
-            key = sorted(unknown)[0]
-            raise ScenarioError("unknown key", f"{self.location} {key}")
-
-
-def _parse_drone(ident: str, items: _Section) -> DroneSpec:
-    loc = items.location
-    gains = GainSet(
-        velocity=_pd(items, "kp_vel", "kd_vel", GainSet().velocity),
-        velocity_yaw=_pd(items, "kp_vel_yaw", "kd_vel_yaw", GainSet().velocity_yaw),
-        position=_pd(items, "kp_pos", "kd_pos", GainSet().position),
-        position_yaw=_pd(items, "kp_pos_yaw", "kd_pos_yaw", GainSet().position_yaw),
-    )
-    defaults = ControllerLimits()
-    try:
-        limits = ControllerLimits(
-            max_linear_speed=items.get_float("max_speed", defaults.max_linear_speed),
-            max_yaw_rate=items.get_float("max_yaw_rate", defaults.max_yaw_rate),
-            max_linear_accel=items.get_float("max_accel", defaults.max_linear_accel),
-            max_yaw_accel=items.get_float("max_yaw_accel", defaults.max_yaw_accel),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc), f"{loc} limits") from exc
-    camera = None
-    if items.get_bool("camera", False):
-        try:
-            camera = CameraConfig(
-                aperture_deg=items.get_float("camera_aperture", 50.0),
-                mount_yaw_offset_deg=items.get_float("camera_yaw_offset", 0.0),
-            )
-        except ValueError as exc:
-            raise ScenarioError(str(exc), f"{loc} camera_aperture") from exc
-    else:
-        items.seen.update(("camera_aperture", "camera_yaw_offset"))
-        if "camera_aperture" in items.raw or "camera_yaw_offset" in items.raw:
-            raise ScenarioError("camera keys set but camera is off", f"{loc} camera")
-    try:
-        rab = RabConfig(
-            range_m=items.get_float("rab_range", 0.0),
-            payload_max=items.get_int("rab_payload_max", 16),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc), f"{loc} rab") from exc
-    coeffs = items.get_floats("battery_coeffs", 4, None)
-    t_max = items.get_float("battery_tmax", None)
-    cutoff = items.get_float("battery_cutoff", None)
-    load = items.get_float("battery_load_factor", None)
-    try:
-        if coeffs is None and t_max is None and cutoff is None and load is None:
-            model = BatteryModel()
-        else:
-            model = BatteryModel(
-                coeffs=coeffs if coeffs is not None else BatteryModel().coeffs,
-                t_max=t_max if t_max is not None else BatteryModel().t_max,
-                cutoff_charge=cutoff,
-                load_factor=load if load is not None else 1.0,
-            )
-    except BatteryModelError as exc:
-        raise ScenarioError(str(exc), f"{loc} battery") from exc
-    return DroneSpec(
-        id=ident,
-        position=items.get_vec3("position", (0.0, 0.0, 0.0)),
-        yaw=items.get_float("yaw", 0.0),
-        charge=items.get_float("charge", 1.0),
-        gains=gains,
-        limits=limits,
-        camera=camera,
-        rab=rab,
-        rab_broadcast=items.get_bytes("rab_broadcast"),
-        led_color=items.get_color("led_color", (255, 255, 255)),
-        led_on=items.get_bool("led_on", False),
-        battery=model,
-    )
-
-
-def _pd(items: _Section, kp_key: str, kd_key: str, default: PDGains) -> PDGains:
-    kp = items.get_float(kp_key, default.kp)
-    kd = items.get_float(kd_key, default.kd)
-    try:
-        return PDGains(kp, kd)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), f"{items.location} {kp_key}") from exc
-
-
-def _parse_script(items: _Section) -> tuple[tuple[int, Command], ...]:
-    value = items._fetch("commands", True)
-    entries = []
-    for line in value.splitlines():
-        line = line.strip()
-        if not line:
+def _read_section(location: str, raw: dict, fields) -> dict:
+    """Parse one section by its field table into {group: {attribute: value}}."""
+    values: dict = {}
+    for f in fields:
+        text = raw.get(f.key)
+        if text is None:
+            if f.presence == _REQUIRED:
+                raise ScenarioError("missing required key", f"{location} {f.key}")
             continue
-        entries.append(_parse_command_line(line, items.location))
-    return tuple(entries)
+        try:
+            if f.codec.block:
+                lines = (line.strip() for line in text.splitlines())
+                value = tuple(f.codec.parse(line) for line in lines if line)
+            else:
+                value = f.codec.parse(text)
+        except ValueError as exc:
+            raise ScenarioError(str(exc), f"{location} {f.key}") from exc
+        values.setdefault(f.group, {})[f.attr] = value
+    unknown = sorted(set(raw).difference(f.key for f in fields))
+    if unknown:
+        raise ScenarioError("unknown key", f"{location} {unknown[0]}")
+    return values
 
 
-def _parse_command_line(line: str, location: str) -> tuple[int, Command]:
-    parts = line.split()
-    if len(parts) != 7:
-        raise ScenarioError(
-            f"expected 'tick kind frame x y z angular', got {line!r}",
-            f"{location} commands",
-        )
-    try:
-        tick = int(parts[0])
-        linear = (float(parts[3]), float(parts[4]), float(parts[5]))
-        angular = float(parts[6])
-    except ValueError as exc:
-        raise ScenarioError(f"bad number in {line!r}",
-                            f"{location} commands") from exc
-    kind, frame = parts[1], parts[2]
-    if kind not in (VELOCITY, POSITION):
-        raise ScenarioError(f"unknown command kind {kind!r}", f"{location} commands")
-    if frame not in (BODY, WORLD):
-        raise ScenarioError(f"unknown frame {frame!r}", f"{location} commands")
-    try:
-        return tick, Command(kind, frame, linear, angular)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), f"{location} commands") from exc
+def _build_drone(location: str, ident: str, spec: dict, groups: dict) -> DroneSpec:
+    """A drone spec; a group with no key set keeps the dataclass default."""
+    if spec.pop("camera", False):
+        groups.setdefault("camera", {})
+    elif "camera" in groups:
+        raise ScenarioError("camera keys set but camera is off", f"{location} camera")
+    for group, values in groups.items():
+        stock, where = _GROUPS[group]
+        if group == "battery":
+            # An unset cutoff is derived from the curve, not kept from the stock.
+            values.setdefault("cutoff_charge", None)
+        try:
+            built = replace(stock, **values)
+        except ValueError as exc:
+            where = where or next(f.key for f in _SECTIONS["drone"] if f.group == group)
+            raise ScenarioError(str(exc), f"{location} {where}") from exc
+        holder, _, loop = group.partition(".")
+        if loop:
+            built = replace(spec.get(holder, DroneSpec.gains), **{loop: built})
+        spec[holder] = built
+    return DroneSpec(id=ident, **spec)
 
 
 # --------------------------------------------------------------------------
@@ -547,93 +482,38 @@ def _parse_command_line(line: str, location: str) -> tuple[int, Command]:
 
 def render_scenario(s: Scenario) -> str:
     """Serialize a scenario so that load_scenario reproduces it exactly."""
-    out = io.StringIO()
-    w = out.write
-    w("[scenario]\n")
-    w(f"format_version = {FORMAT_VERSION}\n")
-    w(f"name = {s.name}\n")
-    w(f"dt = {s.dt!r}\n")
-    w(f"duration = {s.duration}\n")
-    w(f"arena_min = {_vec(s.arena_min)}\n")
-    w(f"arena_max = {_vec(s.arena_max)}\n")
-    if s.noise_seed:
-        w(f"noise_seed = {s.noise_seed}\n")
-    if s.noise_position_std:
-        w(f"noise_position_std = {s.noise_position_std!r}\n")
-    for d in s.drones:
-        w(f"\n[drone {d.id}]\n")
-        w(f"position = {_vec(d.position)}\n")
-        w(f"yaw = {d.yaw!r}\n")
-        w(f"charge = {d.charge!r}\n")
-        defaults = GainSet()
-        _write_pd(w, d.gains.velocity, defaults.velocity, "kp_vel", "kd_vel")
-        _write_pd(w, d.gains.velocity_yaw, defaults.velocity_yaw, "kp_vel_yaw", "kd_vel_yaw")
-        _write_pd(w, d.gains.position, defaults.position, "kp_pos", "kd_pos")
-        _write_pd(w, d.gains.position_yaw, defaults.position_yaw, "kp_pos_yaw", "kd_pos_yaw")
-        lim_defaults = ControllerLimits()
-        if d.limits.max_linear_speed != lim_defaults.max_linear_speed:
-            w(f"max_speed = {d.limits.max_linear_speed!r}\n")
-        if d.limits.max_yaw_rate != lim_defaults.max_yaw_rate:
-            w(f"max_yaw_rate = {d.limits.max_yaw_rate!r}\n")
-        if d.limits.max_linear_accel != lim_defaults.max_linear_accel:
-            w(f"max_accel = {d.limits.max_linear_accel!r}\n")
-        if d.limits.max_yaw_accel != lim_defaults.max_yaw_accel:
-            w(f"max_yaw_accel = {d.limits.max_yaw_accel!r}\n")
-        if d.camera is not None:
-            w("camera = on\n")
-            if d.camera.aperture_deg != 50.0:
-                w(f"camera_aperture = {d.camera.aperture_deg!r}\n")
-            if d.camera.mount_yaw_offset_deg != 0.0:
-                w(f"camera_yaw_offset = {d.camera.mount_yaw_offset_deg!r}\n")
-        rab_defaults = RabConfig()
-        if d.rab.range_m != rab_defaults.range_m:
-            w(f"rab_range = {d.rab.range_m!r}\n")
-        if d.rab.payload_max != rab_defaults.payload_max:
-            w(f"rab_payload_max = {d.rab.payload_max}\n")
-        if d.rab_broadcast is not None:
-            w(f"rab_broadcast = {d.rab_broadcast.hex()}\n")
-        if d.led_color != (255, 255, 255):
-            w(f"led_color = {d.led_color[0]} {d.led_color[1]} {d.led_color[2]}\n")
-        if d.led_on:
-            w("led_on = true\n")
-        stock = BatteryModel()
-        if d.battery.coeffs != stock.coeffs:
-            w(f"battery_coeffs = {' '.join(repr(c) for c in d.battery.coeffs)}\n")
-        if d.battery.t_max != stock.t_max:
-            w(f"battery_tmax = {d.battery.t_max!r}\n")
-        if d.battery.cutoff_charge != d.battery.poly(d.battery.t_max):
-            w(f"battery_cutoff = {d.battery.cutoff_charge!r}\n")
-        if d.battery.load_factor != stock.load_factor:
-            w(f"battery_load_factor = {d.battery.load_factor!r}\n")
-    for light in s.lights:
-        w(f"\n[light {light.id}]\n")
-        w(f"position = {_vec(light.position)}\n")
-        w(f"color = {light.color[0]} {light.color[1]} {light.color[2]}\n")
-    for drone_id, entries in s.scripts.items():
-        w(f"\n[script {drone_id}]\n")
-        w("commands =\n")
-        for tick, cmd in entries:
-            w(
-                f"    {tick} {cmd.kind} {cmd.frame} "
-                f"{cmd.linear[0]!r} {cmd.linear[1]!r} {cmd.linear[2]!r} "
-                f"{cmd.angular!r}\n"
-            )
-    for drone_id, plan in s.waypoints.items():
-        w(f"\n[waypoints {drone_id}]\n")
-        w(f"speed = {plan.speed!r}\n")
-        w(f"threshold = {plan.threshold!r}\n")
-        w("points =\n")
-        for p in plan.points:
-            w(f"    {_vec(p)}\n")
-    return out.getvalue()
+    sections = [_render_section("scenario", _SCENARIO_FIELDS, s)]
+    for kind, specs in (
+        ("drone", [(d.id, d) for d in s.drones]),
+        ("light", [(light.id, light) for light in s.lights]),
+        ("script", [(i, SimpleNamespace(commands=e)) for i, e in s.scripts.items()]),
+        ("waypoints", s.waypoints.items()),
+    ):
+        for ident, spec in specs:
+            sections.append(_render_section(f"{kind} {ident}", _SECTIONS[kind], spec))
+    return "\n".join(sections)
 
 
-def _vec(v: Vec3) -> str:
-    return f"{v[0]!r} {v[1]!r} {v[2]!r}"
+def _render_section(header: str, fields, spec) -> str:
+    lines = [f"[{header}]"]
+    for f in fields:
+        holder = attrgetter(f.group)(spec) if f.group else spec
+        if holder is None:  # no camera
+            continue
+        value = getattr(holder, f.attr)
+        if f.presence == _OPTIONAL and value == _default(f, holder):
+            continue
+        if f.codec.block:
+            lines.append(f"{f.key} =")
+            lines.extend(f"    {f.codec.render(item)}" for item in value)
+        else:
+            lines.append(f"{f.key} = {f.codec.render(value)}")
+    return "\n".join(lines) + "\n"
 
 
-def _write_pd(w, pd: PDGains, default: PDGains, kp_key: str, kd_key: str) -> None:
-    if pd.kp != default.kp:
-        w(f"{kp_key} = {pd.kp!r}\n")
-    if pd.kd != default.kd:
-        w(f"{kd_key} = {pd.kd!r}\n")
+def _default(f: _Field, holder):
+    if f.group is None:
+        return getattr(type(holder), f.attr)  # the dataclass default
+    if f.attr == "cutoff_charge":
+        return holder.poly(holder.t_max)  # derived from the curve, not stored
+    return getattr(_GROUPS[f.group][0], f.attr)

@@ -130,6 +130,8 @@ def summarize(
         )
     yaw_err = None
     if target_yaw is not None:
+        # Always through fmod, unlike geometry.wrap_deg (which returns in-range
+        # angles unrounded), so reported yaw errors keep their exact bits.
         diff = math.fmod(last.yaw_deg - target_yaw + 180.0, 360.0)
         if diff <= 0.0:
             diff += 360.0

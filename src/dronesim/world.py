@@ -31,7 +31,7 @@ import math
 import random
 from typing import NamedTuple, Optional
 
-from .camera import Detection, _project
+from .camera import Detection, detect_sources
 from .control import (
     Command,
     ControllerMemory,
@@ -41,7 +41,7 @@ from .control import (
     drone_control_step,
     resolve_position_target,
 )
-from .geometry import Vec3, clamp
+from .geometry import Vec3, clamp, wrap_deg
 from .rab import PayloadError, RabReading, make_reading
 from .scenario import DroneSpec, Scenario
 from .trajectory import Trajectory, TrajectoryRow
@@ -179,17 +179,10 @@ class World:
         except KeyError:
             raise KeyError(f"unknown drone {drone_id!r}") from None
 
-    def states(self) -> dict[str, DroneState]:
-        return {d.spec.id: d.state() for d in self.drones}
-
 
 def create_world(scenario: Scenario) -> World:
     """Build a world at tick 0 from a validated scenario."""
-    seen = set()
     for spec in scenario.drones:
-        if spec.id in seen:
-            raise ConfigurationError(f"duplicate drone id {spec.id!r}")
-        seen.add(spec.id)
         for axis, (lo, hi) in enumerate(zip(scenario.arena_min, scenario.arena_max)):
             if not lo <= spec.position[axis] <= hi:
                 raise ConfigurationError(
@@ -288,25 +281,19 @@ def camera_capture(world: World, drone_id: str) -> list[Detection]:
 def _capture(world: World, drone: _Drone) -> list[Detection]:
     config = drone.spec.camera
     yaw = math.radians(drone.yaw + config.mount_yaw_offset_deg)
-    cos_yaw = math.cos(yaw)
-    sin_yaw = math.sin(yaw)
-    tan_half = config.tan_half_aperture
-    pos = (drone.x, drone.y, drone.z)
-    out = []
-    for light in world.lights:
-        px = _project(pos, cos_yaw, sin_yaw,
-                      light.position[0], light.position[1], light.position[2],
-                      tan_half)
-        if px is not None:
-            out.append(Detection(px[0], px[1], light.color, light.id))
-    for other in world.drones:
-        if other is drone or not other.led_on:
-            continue
-        px = _project(pos, cos_yaw, sin_yaw, other.x, other.y, other.z, tan_half)
-        if px is not None:
-            out.append(Detection(px[0], px[1], other.led_color, other.spec.id))
-    out.sort(key=lambda det: (det.u, det.v, det.source_id))
-    return out
+    sources = [
+        (light.position[0], light.position[1], light.position[2],
+         light.color, light.id)
+        for light in world.lights
+    ] + [
+        (other.x, other.y, other.z, other.led_color, other.spec.id)
+        for other in world.drones
+        if other.led_on and other is not drone
+    ]
+    return detect_sources(
+        (drone.x, drone.y, drone.z), math.cos(yaw), math.sin(yaw),
+        config.tan_half_aperture, sources,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -350,11 +337,7 @@ def _advance(world: World) -> None:
         drone.y = clamp(y, lo[1], hi[1])
         z = clamp(z, lo[2], hi[2])
         drone.z = z if z > 0.0 else 0.0
-        yaw = drone.yaw + yaw_rate * dt
-        if not -180.0 < yaw <= 180.0:
-            yaw = math.fmod(yaw + 180.0, 360.0)
-            yaw = (yaw + 360.0 if yaw <= 0.0 else yaw) - 180.0
-        drone.yaw = yaw
+        drone.yaw = wrap_deg(drone.yaw + yaw_rate * dt)
 
     # Phase 3: battery discharge; depletion grounds the drone immediately.
     for drone in world.drones:
@@ -374,32 +357,35 @@ def _advance(world: World) -> None:
     for drone in world.drones:
         drone.led_color = drone.led_staged_color
         drone.led_on = drone.led_staged_on
-    inboxes = {d.spec.id: [] for d in world.drones}
-    for sender in world.drones:
-        if not sender.outbox:
-            continue
-        rng_limit = sender.spec.rab.range_m
-        for receiver in world.drones:
-            if receiver is sender:
-                continue
-            dx = sender.x - receiver.x
-            dy = sender.y - receiver.y
-            dz = sender.z - receiver.z
-            dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if rng_limit > 0.0 and dist > rng_limit:
-                continue
-            for payload in sender.outbox:
-                inboxes[receiver.spec.id].append(
-                    make_reading(
-                        (receiver.x, receiver.y, receiver.z), receiver.yaw,
-                        (sender.x, sender.y, sender.z), payload, sender.spec.id,
-                    )
-                )
-        sender.outbox = []
-    for drone in world.drones:
-        received = inboxes[drone.spec.id]
-        received.sort(key=lambda reading: reading.sender_id)
-        drone.inbox = received
+    # Each inbox lists its readings by sender id; taking the senders in id
+    # order builds it sorted.
+    senders = sorted(
+        ((d, (d.x, d.y, d.z), d.spec.id, d.spec.rab.range_m, d.outbox)
+         for d in world.drones if d.outbox),
+        key=lambda entry: entry[2],
+    )
+    for receiver in world.drones:
+        received = []
+        if senders:
+            rx, ry, rz = receiver_position = (receiver.x, receiver.y, receiver.z)
+            receiver_yaw = receiver.yaw
+            for sender, sender_position, sender_id, rng_limit, outbox in senders:
+                if sender is receiver:
+                    continue
+                if rng_limit > 0.0:
+                    dx = sender_position[0] - rx
+                    dy = sender_position[1] - ry
+                    dz = sender_position[2] - rz
+                    if math.sqrt(dx * dx + dy * dy + dz * dz) > rng_limit:
+                        continue
+                for payload in outbox:
+                    received.append(make_reading(
+                        receiver_position, receiver_yaw,
+                        sender_position, payload, sender_id,
+                    ))
+        receiver.inbox = received
+    for entry in senders:
+        entry[0].outbox = []
 
     # Phase 5: sensors sample.
     for drone in world.drones:

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,24 @@ class TestRun:
         )
         assert code == 0
         assert len((tmp_path / "hover_cf1.csv").read_text().splitlines()) == 12
+
+    def test_negative_ticks_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["run", SCENARIOS / "hover.scn", "--ticks", -1, "--out", tmp_path],
+            capsys,
+        )
+        assert code == 1
+        assert "usage:" in err and "--ticks" in err
+
+    def test_infinite_waypoint_speed_exits_2(self, tmp_path, capsys):
+        doc = tmp_path / "fast.scn"
+        doc.write_text(
+            (SCENARIOS / "hover.scn").read_text()
+            + "\n[waypoints cf1]\nspeed = inf\npoints =\n    1 0 1\n"
+        )
+        code, _, err = run_cli(["run", doc, "--out", tmp_path], capsys)
+        assert code == 2
+        assert "[waypoints cf1] speed" in err
 
     def test_corrupt_scenario_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
@@ -264,13 +283,19 @@ class TestExperiment:
         assert err_of(out_trunc) > err_of(out_full)
 
 
+def src_env():
+    """The environment with src/ importable, for ``python -m dronesim.cli``."""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "dronesim.cli", "run",
              str(SCENARIOS / "hover.scn"), "--ticks", "5",
              "--out", str(tmp_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         assert result.returncode == 0
         assert "drone=cf1" in result.stdout
@@ -278,6 +303,6 @@ class TestEntryPoint:
     def test_usage_error_is_exit_1(self):
         result = subprocess.run(
             [sys.executable, "-m", "dronesim.cli", "frobnicate"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         assert result.returncode == 1

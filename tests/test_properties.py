@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dronesim.battery import BatteryModel, battery_next_charge
+from dronesim.battery import DEFAULT_T_MAX, BatteryModel, battery_next_charge
 from dronesim.control import (
     Command,
     ControllerLimits,
@@ -119,41 +119,144 @@ def test_velocity_frame_equivalence(v_cmd, yaw, v0):
         assert sa == sb
 
 
+def _or_default(default, strategy):
+    return st.just(default) | strategy
+
+
+def _draw_battery(data):
+    """The stock model, the stock curve with overrides, or a linear curve."""
+    shape = data.draw(st.sampled_from(("stock", "stock curve", "linear")))
+    if shape == "stock":
+        return BatteryModel()
+    load = data.draw(_or_default(1.0, st.floats(min_value=0.1, max_value=5.0)))
+    if shape == "stock curve":
+        t_max = data.draw(
+            _or_default(DEFAULT_T_MAX, st.floats(min_value=100.0, max_value=427.0))
+        )
+        return BatteryModel(t_max=t_max, load_factor=load)
+    slope = data.draw(st.floats(min_value=0.001, max_value=0.01))
+    t_max = data.draw(st.floats(min_value=10.0, max_value=99.0))
+    cutoff = data.draw(
+        st.none() | st.floats(min_value=-5e-7, max_value=5e-7).map(
+            lambda d: 1.0 - slope * t_max + d
+        )
+    )
+    return BatteryModel(
+        coeffs=(1.0, -slope, 0.0, 0.0), t_max=t_max,
+        cutoff_charge=cutoff, load_factor=load,
+    )
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_scenario_round_trip_random(data):
+    """load(render(s)) == s over scenarios that set every scenario key."""
+    from dronesim.camera import CameraConfig
+    from dronesim.control import PDGains
+    from dronesim.rab import RabConfig
     from dronesim.scenario import (
         DroneSpec, LightSpec, Scenario, WaypointPlan,
         load_scenario, render_scenario,
     )
-    from dronesim.control import PDGains
+
+    coord = st.floats(min_value=-1.4, max_value=1.4, allow_nan=False)
+    point = st.tuples(coord, coord, st.floats(min_value=0.0, max_value=2.9))
+    color = st.tuples(*[st.integers(min_value=0, max_value=255)] * 3)
+    positive = st.floats(min_value=0.01, max_value=1000.0)
+    stock = GainSet()
+
+    def pd(default):
+        return _or_default(default, st.builds(
+            PDGains,
+            st.floats(min_value=0.1, max_value=20.0),
+            st.floats(min_value=0.0, max_value=1.0),
+        ))
 
     n_drones = data.draw(st.integers(min_value=1, max_value=3))
-    coord = st.floats(min_value=-1.4, max_value=1.4, allow_nan=False)
     drones = []
+    scripts = {}
+    waypoints = {}
     for i in range(n_drones):
+        rab = data.draw(st.builds(
+            RabConfig,
+            range_m=_or_default(0.0, st.floats(min_value=0.0, max_value=10.0)),
+            payload_max=_or_default(16, st.integers(min_value=1, max_value=32)),
+        ))
         drones.append(
             DroneSpec(
                 id=f"d{i}",
-                position=(
-                    data.draw(coord), data.draw(coord),
-                    data.draw(st.floats(min_value=0.0, max_value=2.9)),
-                ),
+                position=data.draw(point),
                 yaw=data.draw(st.floats(min_value=-179.0, max_value=180.0)),
                 charge=data.draw(st.floats(min_value=0.0, max_value=1.0)),
-                gains=GainSet(
-                    velocity=PDGains(
-                        data.draw(st.floats(min_value=0.1, max_value=20.0)),
-                        data.draw(st.floats(min_value=0.0, max_value=1.0)),
-                    )
+                gains=data.draw(st.builds(
+                    GainSet,
+                    velocity=pd(stock.velocity),
+                    velocity_yaw=pd(stock.velocity_yaw),
+                    position=pd(stock.position),
+                    position_yaw=pd(stock.position_yaw),
+                )),
+                limits=data.draw(st.builds(
+                    ControllerLimits,
+                    max_linear_speed=_or_default(10.0, positive),
+                    max_yaw_rate=_or_default(90.0, positive),
+                    max_linear_accel=_or_default(5.0, positive),
+                    max_yaw_accel=_or_default(720.0, positive),
+                )),
+                camera=data.draw(st.none() | st.builds(
+                    CameraConfig,
+                    aperture_deg=_or_default(
+                        50.0, st.floats(min_value=1.0, max_value=179.0)
+                    ),
+                    mount_yaw_offset_deg=_or_default(
+                        0.0, st.floats(min_value=-180.0, max_value=180.0)
+                    ),
+                )),
+                rab=rab,
+                rab_broadcast=data.draw(
+                    st.none() | st.binary(max_size=rab.payload_max)
                 ),
+                led_color=data.draw(_or_default((255, 255, 255), color)),
                 led_on=data.draw(st.booleans()),
+                battery=_draw_battery(data),
             )
         )
+        guidance = data.draw(st.sampled_from(("none", "script", "waypoints")))
+        if guidance == "script":
+            ticks = sorted(data.draw(st.lists(
+                st.integers(min_value=0, max_value=100), max_size=3
+            )))
+            scripts[f"d{i}"] = tuple(
+                (tick, Command(
+                    data.draw(st.sampled_from(("velocity", "position"))),
+                    data.draw(st.sampled_from(("body", "world"))),
+                    data.draw(st.tuples(small, small, small)),
+                    data.draw(angle),
+                ))
+                for tick in ticks
+            )
+        elif guidance == "waypoints":
+            waypoints[f"d{i}"] = WaypointPlan(
+                speed=data.draw(st.floats(min_value=0.01, max_value=5.0)),
+                points=tuple(data.draw(st.lists(point, min_size=1, max_size=3))),
+                threshold=data.draw(
+                    _or_default(0.05, st.floats(min_value=0.001, max_value=1.0))
+                ),
+            )
+    lights = tuple(
+        LightSpec(f"l{k}", data.draw(st.tuples(small, small, small)), data.draw(color))
+        for k in range(data.draw(st.integers(min_value=0, max_value=2)))
+    )
     scenario = Scenario(
         name="prop",
         dt=data.draw(st.sampled_from((0.05, 0.1, 0.2))),
         duration=data.draw(st.integers(min_value=0, max_value=500)),
         drones=tuple(drones),
+        lights=lights,
+        scripts=scripts,
+        waypoints=waypoints,
+        noise_seed=data.draw(_or_default(0, st.integers(min_value=0, max_value=2**31))),
+        noise_position_std=data.draw(
+            _or_default(0.0, st.floats(min_value=0.0, max_value=0.1))
+        ),
     )
     assert load_scenario(render_scenario(scenario)) == scenario

@@ -144,15 +144,15 @@ def fit_discharge_polynomial(
     import numpy as np  # only the fit needs it; keeps `import dronesim` light
 
     if len({t for t, _ in samples}) < 4:
-        raise BatteryModelError("need at least 4 samples with distinct times")
+        raise BatteryModelError(
+            "underdetermined: need at least 4 samples with distinct times"
+        )
     ts = np.asarray([t for t, _ in samples], dtype=float)
     cs = np.asarray([c for _, c in samples], dtype=float)
     if not (np.isfinite(ts).all() and np.isfinite(cs).all()):
         raise BatteryModelError("samples must be finite")
     # Fit in normalized time for conditioning, then rescale the coefficients.
     t_scale = float(np.max(np.abs(ts)))
-    if t_scale == 0.0:
-        raise BatteryModelError("need at least 4 samples with distinct times")
     u = ts / t_scale
     vander = np.column_stack([np.ones_like(u), u, u * u, u * u * u])
     sol, *_ = np.linalg.lstsq(vander, cs, rcond=None)

@@ -9,20 +9,24 @@ Commands:
 
 Exit codes: 0 success, 1 usage error, 2 scenario or input parse/validation
 error, 3 runtime failure. Standard output is stable key=value lines.
+Experiment flags are checked by argparse: --speed must be finite and > 0,
+the others finite (else exit 1); a scenario they cannot build exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .battery import BatteryModelError, fit_discharge_polynomial
 from .experiments import EXPERIMENT_NAMES, Variant, variants
 from .scenario import ScenarioError, load_scenario_file, render_scenario
-from .trajectory import Trajectory, export_plot_columns, mse, summarize, trajectory_csv
-from .world import ConfigurationError, camera_capture, create_world, run, run_scenario
+from .trajectory import Trajectory, export_plot_columns, mse, summarize, write_trajectory
+from .world import camera_capture, create_world, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,6 +53,23 @@ def _tick_count(text: str) -> int:
     return ticks
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="dronesim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -58,22 +79,24 @@ def build_parser() -> _Parser:
     p_run.add_argument("--ticks", type=_tick_count, default=None,
                        help="override the scenario duration")
     p_run.add_argument("--out", default=".", help="output directory for CSVs")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_exp = sub.add_parser("experiment", help="run a built-in experiment")
     p_exp.add_argument("name", choices=EXPERIMENT_NAMES)
-    p_exp.add_argument("--speed", type=float, default=None,
+    p_exp.add_argument("--speed", type=_positive_float, default=None,
                        help="commanded speed (m/s) or yaw rate (deg/s)")
-    p_exp.add_argument("--initial-charge", type=float, default=None,
+    p_exp.add_argument("--initial-charge", type=_finite_float, default=None,
                        help="battery experiment initial charge fraction")
-    p_exp.add_argument("--leg", type=float, default=None,
+    p_exp.add_argument("--leg", type=_finite_float, default=None,
                        help="position-legs: single leg length in metres")
-    p_exp.add_argument("--target", type=float, default=None,
+    p_exp.add_argument("--target", type=_finite_float, default=None,
                        help="yaw-legs: single target yaw in degrees")
     p_exp.add_argument("--truncate-settle", action="store_true",
                        help="shorten settle time to reproduce premature-advance errors")
     p_exp.add_argument("--out-dir", default=".", help="output directory")
     p_exp.add_argument("--emit-scenario", action="store_true",
                        help="print the scenario document instead of running")
+    p_exp.set_defaults(handler=_cmd_experiment)
 
     p_met = sub.add_parser("metrics", help="compare two trajectory CSVs")
     p_met.add_argument("metric", choices=["mse"])
@@ -81,11 +104,13 @@ def build_parser() -> _Parser:
     p_met.add_argument("file_b")
     p_met.add_argument("--column", required=True,
                        help="CSV column name, e.g. charge or x")
+    p_met.set_defaults(handler=_cmd_metrics)
 
     p_fit = sub.add_parser("fit-battery", help="fit a cubic discharge curve")
     p_fit.add_argument("samples", help="CSV with time_s,charge columns")
     p_fit.add_argument("--tmax", type=float, default=None,
                        help="maximum flight time override (seconds)")
+    p_fit.set_defaults(handler=_cmd_fit_battery)
     return parser
 
 
@@ -96,22 +121,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        return _cmd_fit_battery(args)
-    except (ScenarioError, ConfigurationError, BatteryModelError) as exc:
+        return args.handler(args)
+    except (ScenarioError, BatteryModelError, _InputError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_RUNTIME if isinstance(exc, OSError) else EXIT_INPUT
 
 
 class _InputError(Exception):
@@ -120,14 +133,7 @@ class _InputError(Exception):
 
 def _cmd_run(args) -> int:
     scenario = load_scenario_file(args.scenario)
-    _, trajectories = run_scenario(scenario, args.ticks)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for drone_id in sorted(trajectories):
-        traj = trajectories[drone_id]
-        path = out_dir / f"{scenario.name}_{drone_id}.csv"
-        _write_text(path, trajectory_csv(traj))
-        _print_summary(scenario.name, traj, {"csv": str(path)})
+    _run_variant(Variant(scenario, {}, ()), Path(args.out), args.ticks)
     return EXIT_OK
 
 
@@ -150,75 +156,54 @@ def _cmd_experiment(args) -> int:
             return EXIT_USAGE
         sys.stdout.write(render_scenario(selected[0].scenario))
         return EXIT_OK
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for variant in selected:
-        _run_variant(variant, out_dir)
+        _run_variant(variant, Path(args.out_dir))
     return EXIT_OK
 
 
-def _run_variant(variant: Variant, out_dir: Path) -> None:
+def _run_variant(variant: Variant, out_dir: Path, ticks: Optional[int] = None) -> None:
+    """Run one scenario, write its CSVs and plot columns into ``out_dir``
+    and print one summary line per drone; ``ticks`` overrides the duration."""
     scenario = variant.scenario
+    world = create_world(scenario)
     if variant.params.get("experiment") == "camera-calibration":
-        world = create_world(scenario)
-        extra = dict(variant.params)
         for det in camera_capture(world, scenario.drones[0].id):
             print(
                 f"light={det.source_id} u={det.u} v={det.v} "
                 f"color={det.color[0]},{det.color[1]},{det.color[2]}"
             )
-        world, trajectories = run(world, scenario.duration)
-    else:
-        world, trajectories = run_scenario(scenario)
-        extra = dict(variant.params)
+    _, trajectories = run(world, scenario.duration if ticks is None else ticks)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for drone_id in sorted(trajectories):
         traj = trajectories[drone_id]
         path = out_dir / f"{scenario.name}_{drone_id}.csv"
-        _write_text(path, trajectory_csv(traj))
-        extra["csv"] = str(path)
+        _write(path, write_trajectory, traj)
         for projection in variant.projections:
             dat = out_dir / f"{scenario.name}_{drone_id}_{projection}.dat"
-            with open(dat, "w", encoding="utf-8", newline="\n") as fh:
-                export_plot_columns([traj], projection, fh)
+            _write(dat, export_plot_columns, [traj], projection)
         summary = summarize(traj, variant.target, variant.target_yaw)
-        _print_summary(scenario.name, traj, extra, summary)
+        _print_summary(scenario.name, traj, {**variant.params, "csv": str(path)}, summary)
 
 
-def _print_summary(name, traj: Trajectory, extra=None, summary=None) -> None:
-    if summary is None:
-        summary = summarize(traj)
+def _print_summary(name, traj: Trajectory, extra, summary) -> None:
+    """One line: the run, its parameters, then every summary field in order.
+    Errors without a target are left out; no depletion prints as none."""
     parts = [f"scenario={name}", f"drone={traj.drone_id}", f"rows={len(traj.rows)}"]
-    for key, value in (extra or {}).items():
-        parts.append(f"{key}={_fmt(value)}")
-    parts.append(f"peak_speed={summary.peak_speed:.6f}")
-    parts.append(f"peak_yaw_rate={summary.peak_yaw_rate:.6f}")
-    parts.append(
-        "final_position="
-        f"{summary.final_position[0]:.6f},"
-        f"{summary.final_position[1]:.6f},"
-        f"{summary.final_position[2]:.6f}"
-    )
-    parts.append(f"final_yaw={summary.final_yaw:.6f}")
-    if summary.final_position_error is not None:
-        parts.append(f"final_position_error={summary.final_position_error:.6f}")
-    if summary.final_yaw_error is not None:
-        parts.append(f"final_yaw_error={summary.final_yaw_error:.6f}")
-    if summary.time_to_zero_charge is not None:
-        parts.append(f"time_to_zero_charge={summary.time_to_zero_charge:.6f}")
-    else:
-        parts.append("time_to_zero_charge=none")
+    for key, value in extra.items():
+        parts.append(f"{key}={value:.6f}" if isinstance(value, float) else f"{key}={value}")
+    for key, value in summary._asdict().items():
+        if key == "final_position":
+            parts.append(f"{key}=" + ",".join(f"{v:.6f}" for v in value))
+        elif value is not None:
+            parts.append(f"{key}={value:.6f}")
+        elif key == "time_to_zero_charge":
+            parts.append(f"{key}=none")
     print(" ".join(parts))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
 def _cmd_metrics(args) -> int:
-    col_a = _read_csv_column(args.file_a, args.column)
-    col_b = _read_csv_column(args.file_b, args.column)
+    (col_a,) = _read_csv_columns(args.file_a, (args.column,))
+    (col_b,) = _read_csv_columns(args.file_b, (args.column,))
     if len(col_a) != len(col_b):
         raise _InputError(
             f"row count mismatch: {len(col_a)} vs {len(col_b)}"
@@ -229,52 +214,33 @@ def _cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _read_csv_column(path, column):
+def _read_csv_columns(path, names):
+    """The named columns of a CSV file, each as a list of floats."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or column not in reader.fieldnames:
-                raise _InputError(
-                    f"{path}: column {column!r} not found "
-                    f"(have: {','.join(reader.fieldnames or [])})"
-                )
-            try:
-                return [float(row[column]) for row in reader]
-            except (TypeError, ValueError) as exc:
-                raise _InputError(f"{path}: non-numeric value in {column!r}") from exc
+            have = reader.fieldnames or []
+            rows = list(reader)
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _InputError(f"{path}: {exc}") from exc
+    columns = []
+    for name in names:
+        if name not in have:
+            raise _InputError(f"{path}: column {name!r} not found (have: {','.join(have)})")
+        try:
+            columns.append([float(row[name]) for row in rows])
+        except (TypeError, ValueError) as exc:
+            raise _InputError(f"{path}: non-numeric value in {name!r}") from exc
+    return columns
 
 
 def _cmd_fit_battery(args) -> int:
-    samples = []
-    try:
-        with open(args.samples, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"time_s", "charge"} <= set(reader.fieldnames):
-                raise _InputError(
-                    f"{args.samples}: need columns time_s,charge"
-                )
-            for row in reader:
-                try:
-                    samples.append((float(row["time_s"]), float(row["charge"])))
-                except (TypeError, ValueError) as exc:
-                    raise _InputError(
-                        f"{args.samples}: non-numeric sample row"
-                    ) from exc
-    except OSError as exc:
-        raise _InputError(f"{args.samples}: {exc.strerror or exc}") from exc
-    try:
-        model = fit_discharge_polynomial(samples, t_max=args.tmax)
-    except BatteryModelError as exc:
-        msg = str(exc)
-        if "distinct times" in msg:
-            msg = f"underdetermined: {msg}"
-        print(f"error: {msg}", file=sys.stderr)
-        return EXIT_INPUT
-    fitted = [model.poly(t) for t, _ in samples]
-    observed = [c for _, c in samples]
-    fit_mse = mse(observed, fitted)
+    times, charges = _read_csv_columns(args.samples, ("time_s", "charge"))
+    samples = list(zip(times, charges))
+    model = fit_discharge_polynomial(samples, t_max=args.tmax)
+    fit_mse = mse(charges, [model.poly(t) for t in times])
     c0, c1, c2, c3 = model.coeffs
     print(
         f"c0={c0!r} c1={c1!r} c2={c2!r} c3={c3!r} "
@@ -283,9 +249,10 @@ def _cmd_fit_battery(args) -> int:
     return EXIT_OK
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write(path: Path, writer, *args) -> None:
+    """Call ``writer(*args, sink)`` with ``path`` open as UTF-8 text, LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        writer(*args, fh)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from .battery import BatteryModel, battery_time_to_empty
 from .camera import CameraConfig
 from .control import Command
 from .geometry import Vec3
-from .scenario import DroneSpec, LightSpec, Scenario, WaypointPlan
+from .scenario import DroneSpec, LightSpec, Scenario, ScenarioError, WaypointPlan
 
 DT = 0.1
 DRONE_ID = "cf1"
@@ -38,18 +38,6 @@ BATTERY_CHARGES = (0.25, 0.5, 0.75, 1.0)
 CALIBRATION_DEPTH = 2.0
 CALIBRATION_OFFSET = 0.9326
 
-EXPERIMENT_NAMES = (
-    "line2d",
-    "line3d",
-    "altitude-steps",
-    "yaw-steps",
-    "position-legs",
-    "yaw-legs",
-    "battery",
-    "camera-calibration",
-)
-
-
 class Variant(NamedTuple):
     scenario: Scenario
     params: dict
@@ -59,7 +47,10 @@ class Variant(NamedTuple):
 
 
 def _ticks(seconds: float) -> int:
-    return int(round(seconds / DT))
+    ticks = seconds / DT
+    if not math.isfinite(ticks):
+        raise ScenarioError("duration must be finite", "[scenario] duration")
+    return int(round(ticks))
 
 
 def _sname(base: str, value: float) -> str:
@@ -113,22 +104,26 @@ def build_line3d(speed: float) -> Variant:
     )
 
 
+def _out_and_back(
+    name: str, start: Vec3, leg_ticks: int, out: Command, back: Command
+) -> Scenario:
+    """Fly ``out`` for ``leg_ticks``, hover 2 s, fly ``back`` as long, hover 2 s."""
+    turn = leg_ticks + _ticks(2.0)
+    stop = Command.velocity((0.0, 0.0, 0.0))
+    return Scenario(
+        name=name,
+        dt=DT,
+        duration=2 * turn,
+        drones=(DroneSpec(id=DRONE_ID, position=start),),
+        scripts={DRONE_ID: ((0, out), (leg_ticks, stop), (turn, back), (turn + leg_ticks, stop))},
+    )
+
+
 def build_altitude_steps(speed: float) -> Variant:
     """Climb one metre, hover, descend back, at a fixed vertical speed."""
-    leg_ticks = _ticks(1.0 / speed)
-    hold_ticks = _ticks(2.0)
-    script = (
-        (0, Command.velocity((0.0, 0.0, speed))),
-        (leg_ticks, Command.velocity((0.0, 0.0, 0.0))),
-        (leg_ticks + hold_ticks, Command.velocity((0.0, 0.0, -speed))),
-        (2 * leg_ticks + hold_ticks, Command.velocity((0.0, 0.0, 0.0))),
-    )
-    scenario = Scenario(
-        name=_sname("altitude_steps_s", speed),
-        dt=DT,
-        duration=2 * leg_ticks + 2 * hold_ticks,
-        drones=(DroneSpec(id=DRONE_ID, position=(0.0, 0.0, 0.5)),),
-        scripts={DRONE_ID: script},
+    scenario = _out_and_back(
+        _sname("altitude_steps_s", speed), (0.0, 0.0, 0.5), _ticks(1.0 / speed),
+        Command.velocity((0.0, 0.0, speed)), Command.velocity((0.0, 0.0, -speed)),
     )
     return Variant(
         scenario,
@@ -139,20 +134,10 @@ def build_altitude_steps(speed: float) -> Variant:
 
 def build_yaw_steps(rate: float) -> Variant:
     """Rotate 180 degrees and back at a fixed commanded yaw rate."""
-    leg_ticks = _ticks(180.0 / rate)
-    hold_ticks = _ticks(2.0)
-    script = (
-        (0, Command.velocity((0.0, 0.0, 0.0), yaw_rate=rate)),
-        (leg_ticks, Command.velocity((0.0, 0.0, 0.0))),
-        (leg_ticks + hold_ticks, Command.velocity((0.0, 0.0, 0.0), yaw_rate=-rate)),
-        (2 * leg_ticks + hold_ticks, Command.velocity((0.0, 0.0, 0.0))),
-    )
-    scenario = Scenario(
-        name=_sname("yaw_steps_w", rate),
-        dt=DT,
-        duration=2 * leg_ticks + 2 * hold_ticks,
-        drones=(DroneSpec(id=DRONE_ID, position=(0.0, 0.0, 1.0)),),
-        scripts={DRONE_ID: script},
+    still = (0.0, 0.0, 0.0)
+    scenario = _out_and_back(
+        _sname("yaw_steps_w", rate), (0.0, 0.0, 1.0), _ticks(180.0 / rate),
+        Command.velocity(still, yaw_rate=rate), Command.velocity(still, yaw_rate=-rate),
     )
     return Variant(
         scenario,
@@ -255,6 +240,21 @@ def build_camera_calibration(lateral_offset: Optional[float] = None) -> Variant:
     )
 
 
+# name -> (builder, the variants() keyword that selects a single variant,
+#          the values run without it, whether the builder takes a settle time)
+_EXPERIMENTS = {
+    "line2d": (build_line2d, "speed", VELOCITY_SPEEDS, False),
+    "line3d": (build_line3d, "speed", VELOCITY_SPEEDS, False),
+    "altitude-steps": (build_altitude_steps, "speed", VELOCITY_SPEEDS, False),
+    "yaw-steps": (build_yaw_steps, "speed", YAW_RATES, False),
+    "position-legs": (build_position_leg, "leg", POSITION_LEGS, True),
+    "yaw-legs": (build_yaw_leg, "target", YAW_TARGETS, True),
+    "battery": (build_battery, "initial_charge", BATTERY_CHARGES, False),
+    "camera-calibration": (build_camera_calibration, None, (None,), False),
+}
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
+
+
 def variants(
     name: str,
     speed: Optional[float] = None,
@@ -264,31 +264,18 @@ def variants(
     truncate_settle: bool = False,
 ) -> list[Variant]:
     """All scenario variants selected by an experiment name and its flags."""
-    if name not in EXPERIMENT_NAMES:
+    try:
+        build, flag, defaults, settles = _EXPERIMENTS[name]
+    except KeyError:
         raise ValueError(
             f"unknown experiment {name!r}; valid names: "
             + ", ".join(EXPERIMENT_NAMES)
-        )
+        ) from None
+    chosen = {
+        "speed": speed, "initial_charge": initial_charge, "leg": leg, "target": target,
+    }.get(flag)
+    values = defaults if chosen is None else (chosen,)
+    if not settles:
+        return [build(value) for value in values]
     settle = TRUNCATED_SETTLE_S if truncate_settle else SETTLE_S
-    if name == "line2d":
-        speeds = (speed,) if speed is not None else VELOCITY_SPEEDS
-        return [build_line2d(s) for s in speeds]
-    if name == "line3d":
-        speeds = (speed,) if speed is not None else VELOCITY_SPEEDS
-        return [build_line3d(s) for s in speeds]
-    if name == "altitude-steps":
-        speeds = (speed,) if speed is not None else VELOCITY_SPEEDS
-        return [build_altitude_steps(s) for s in speeds]
-    if name == "yaw-steps":
-        rates = (speed,) if speed is not None else YAW_RATES
-        return [build_yaw_steps(r) for r in rates]
-    if name == "position-legs":
-        legs = (leg,) if leg is not None else POSITION_LEGS
-        return [build_position_leg(d, settle) for d in legs]
-    if name == "yaw-legs":
-        targets = (target,) if target is not None else YAW_TARGETS
-        return [build_yaw_leg(a, settle) for a in targets]
-    if name == "battery":
-        charges = (initial_charge,) if initial_charge is not None else BATTERY_CHARGES
-        return [build_battery(c) for c in charges]
-    return [build_camera_calibration()]
+    return [build(value, settle) for value in values]

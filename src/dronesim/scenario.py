@@ -41,6 +41,10 @@ class ScenarioError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
+class ConfigurationError(ScenarioError):
+    """A scenario no world can be built from: a drone starts outside the arena."""
+
+
 @dataclass(frozen=True)
 class LightSpec:
     id: str
@@ -128,6 +132,9 @@ def validate_scenario(s: Scenario) -> None:
             raise ScenarioError("bad drone id", f"{loc} id")
         if not is_finite3(d.position):
             raise ScenarioError("position must be finite", f"{loc} position")
+        inside = zip(s.arena_min, d.position, s.arena_max)
+        if not all(lo <= p <= hi for lo, p, hi in inside):
+            raise ConfigurationError("initial position outside arena", f"{loc} position")
         if not math.isfinite(d.yaw):
             raise ScenarioError("yaw must be finite", f"{loc} yaw")
         if not 0.0 <= d.charge <= 1.0:

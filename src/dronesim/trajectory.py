@@ -10,13 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .geometry import Vec3
 
 CSV_HEADER = "tick,time_s,id,x,y,z,yaw_deg,vx,vy,vz,yaw_rate_deg_s,charge"
 
-PROJECTIONS = ("xy", "xz", "time-z", "time-yaw", "time-charge")
+# Plot projection name -> the row fields of its two columns.
+_PROJECTION_FIELDS = {
+    "xy": ("x", "y"), "xz": ("x", "z"), "time-z": ("time_s", "z"),
+    "time-yaw": ("time_s", "yaw_deg"), "time-charge": ("time_s", "charge"),
+}
+PROJECTIONS = tuple(_PROJECTION_FIELDS)
 
 
 class TrajectoryRow(NamedTuple):
@@ -161,22 +167,15 @@ def export_plot_columns(trajectories: Sequence[Trajectory], projection: str, sin
     per trajectory, for generic plotting tools."""
     if not trajectories:
         raise ValueError("no trajectories to export")
-    if projection not in PROJECTIONS:
+    try:
+        fields = attrgetter(*_PROJECTION_FIELDS[projection])
+    except KeyError:
         raise ValueError(
             f"unknown projection {projection!r}; choose from {PROJECTIONS}"
-        )
+        ) from None
     for i, traj in enumerate(trajectories):
         if i:
             sink.write("\n")
         for row in traj.rows:
-            if projection == "xy":
-                a, b = row.x, row.y
-            elif projection == "xz":
-                a, b = row.x, row.z
-            elif projection == "time-z":
-                a, b = row.time_s, row.z
-            elif projection == "time-yaw":
-                a, b = row.time_s, row.yaw_deg
-            else:
-                a, b = row.time_s, row.charge
+            a, b = fields(row)
             sink.write(f"{_f(a)} {_f(b)}\n")

@@ -43,12 +43,8 @@ from .control import (
 )
 from .geometry import Vec3, clamp, wrap_deg
 from .rab import PayloadError, RabReading, make_reading
-from .scenario import DroneSpec, Scenario
+from .scenario import ConfigurationError, DroneSpec, Scenario  # noqa: F401 (re-exported)
 from .trajectory import Trajectory, TrajectoryRow
-
-
-class ConfigurationError(ValueError):
-    """World cannot be built from the given scenario."""
 
 
 class CapabilityError(ValueError):
@@ -74,7 +70,7 @@ class _Drone:
     def __init__(self, spec: DroneSpec):
         self.spec = spec
         self.x, self.y, self.z = spec.position
-        self.yaw = spec.yaw
+        self.yaw = wrap_deg(spec.yaw)
         self.vx = self.vy = self.vz = 0.0
         self.yaw_rate = 0.0
         self.charge = spec.charge
@@ -182,13 +178,6 @@ class World:
 
 def create_world(scenario: Scenario) -> World:
     """Build a world at tick 0 from a validated scenario."""
-    for spec in scenario.drones:
-        for axis, (lo, hi) in enumerate(zip(scenario.arena_min, scenario.arena_max)):
-            if not lo <= spec.position[axis] <= hi:
-                raise ConfigurationError(
-                    f"drone {spec.id!r} initial position {spec.position} "
-                    f"outside arena"
-                )
     rng = None
     if scenario.noise_position_std > 0.0:
         rng = random.Random(scenario.noise_seed)

@@ -1,15 +1,23 @@
+import hashlib
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dronesim.battery import DEFAULT_COEFFS
 from dronesim.cli import main
+from dronesim.experiments import EXPERIMENT_NAMES
+from dronesim.scenario import load_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
+GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli_outputs.txt"
 
 
 def run_cli(argv, capsys):
@@ -81,6 +89,20 @@ class TestRun:
         assert code == 2
         assert "line 4" in err
 
+    def test_start_outside_arena_exits_2_at_position(self, tmp_path, capsys):
+        doc = tmp_path / "out.scn"
+        doc.write_text("[scenario]\nname = out\n\n[drone cf1]\nposition = 9 0 1\n")
+        code, _, err = run_cli(["run", doc, "--out", tmp_path], capsys)
+        assert code == 2
+        assert "[drone cf1] position" in err
+
+    def test_non_utf8_scenario_exits_2(self, tmp_path, capsys):
+        doc = tmp_path / "latin1.scn"
+        doc.write_bytes(b"[scenario]\nname = caf\xe9\n")
+        code, _, err = run_cli(["run", doc, "--out", tmp_path], capsys)
+        assert code == 2
+        assert err.startswith("error: 'utf-8' codec can't decode")
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         code, _, err = run_cli(["run", tmp_path / "nope.scn"], capsys)
         assert code == 3
@@ -114,6 +136,18 @@ class TestMetrics:
         code, _, err = run_cli(["metrics", "mse", a, b, "--column", "v"], capsys)
         assert code == 2
         assert "'v'" in err
+
+    @pytest.mark.parametrize("content", [
+        b"v\n\xff\xfe\n",                  # not UTF-8
+        b"v\n" + b"1" * 200_000 + b"\n",   # a field over the csv module's size limit
+        b"",                               # no header
+    ], ids=["not utf-8", "huge field", "empty"])
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        code, _, err = run_cli(["metrics", "mse", bad, bad, "--column", "v"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {bad}: ")
 
     def test_row_count_mismatch_exits_2(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -176,6 +210,13 @@ class TestFitBattery:
         code, _, err = run_cli(["fit-battery", samples], capsys)
         assert code == 2
         assert "decreasing" in err
+
+    def test_non_utf8_samples_exit_2(self, tmp_path, capsys):
+        samples = tmp_path / "latin1.csv"
+        samples.write_bytes(b"time_s,charge\n0,1\xe9\n")
+        code, _, err = run_cli(["fit-battery", samples], capsys)
+        assert code == 2
+        assert "utf-8" in err
 
     def test_missing_columns_exit_2(self, tmp_path, capsys):
         samples = tmp_path / "cols.csv"
@@ -281,6 +322,114 @@ class TestExperiment:
             return float(fields["final_position_error"])
 
         assert err_of(out_trunc) > err_of(out_full)
+
+
+# Invocations pinned byte for byte: one flag-selected variant of each
+# experiment, two full default sets, the truncated-settle legs and every
+# shipped scenario. The output directory flag is appended per invocation.
+CLI_CORPUS = [
+    ["experiment", "line2d", "--speed", "0.5"],
+    ["experiment", "line3d", "--speed", "0.25"],
+    ["experiment", "altitude-steps", "--speed", "1"],
+    ["experiment", "yaw-steps", "--speed", "90"],
+    ["experiment", "position-legs", "--leg", "2"],
+    ["experiment", "yaw-legs", "--target", "-135"],
+    ["experiment", "battery", "--initial-charge", "0.5"],
+    ["experiment", "line2d"],
+    ["experiment", "camera-calibration"],
+    ["experiment", "position-legs", "--truncate-settle"],
+    ["experiment", "yaw-legs", "--truncate-settle"],
+    ["run", "scenarios/battery_start.scn"],
+    ["run", "scenarios/hover.scn"],
+    ["run", "scenarios/leg_x_1m.scn"],
+    ["run", "scenarios/two_drones_rab.scn"],
+    ["run", "scenarios/hover.scn", "--ticks", "7"],
+]
+
+
+def cli_corpus(tmp_path):
+    """Each invocation's stdout, with its output directory shown as
+    ``{out}``, then the sha256 of every .csv and .dat it wrote."""
+    blocks = []
+    for i, argv in enumerate(CLI_CORPUS):
+        out_dir = tmp_path / f"out{i}"
+        flag = "--out" if argv[0] == "run" else "--out-dir"
+        args = [str(REPO / a) if a.endswith(".scn") else a for a in argv]
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            assert main(args + [flag, str(out_dir)]) == 0, argv
+        lines = [f"### {' '.join(argv)}\n", stdout.getvalue().replace(str(out_dir), "{out}")]
+        for path in sorted(out_dir.iterdir()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append(f"{digest} {path.name}\n")
+        blocks.append("".join(lines))
+    return "".join(blocks)
+
+
+def test_cli_outputs_match_golden(tmp_path):
+    assert cli_corpus(tmp_path) == GOLDEN_CLI.read_text(encoding="utf-8")
+
+
+# Bad experiment flag values. The first eight ended in a traceback and the
+# last two in exit 2. The flag parser now rejects non-finite values and
+# speeds <= 0 (exit 1); a finite speed so small that the duration overflows
+# is a scenario error (exit 2).
+BAD_EXPERIMENT_FLAGS = [
+    (["line2d", "--speed", "0"], 1),
+    (["line2d", "--speed", "nan"], 1),
+    (["line2d", "--speed", "1e-320"], 2),
+    (["yaw-steps", "--speed", "0"], 1),
+    (["yaw-legs", "--target", "nan"], 1),
+    (["yaw-legs", "--target", "inf"], 1),
+    (["position-legs", "--leg", "inf"], 1),
+    (["position-legs", "--leg", "nan"], 1),
+    (["line2d", "--speed", "-1"], 1),
+    (["battery", "--initial-charge", "nan"], 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code", BAD_EXPERIMENT_FLAGS, ids=[" ".join(a) for a, _ in BAD_EXPERIMENT_FLAGS]
+)
+def test_bad_experiment_flag_rejected(argv, code, capsys):
+    got, out, err = run_cli(["experiment", *argv, "--emit-scenario"], capsys)
+    assert got == code
+    assert out == ""
+    if code == 1:
+        assert "usage:" in err and argv[1] in err
+    else:
+        assert "[scenario] duration" in err
+
+
+# The flag that narrows each experiment to a single variant; camera
+# calibration has one variant and ignores --speed.
+NARROWING_FLAG = {
+    "line2d": "--speed", "line3d": "--speed", "altitude-steps": "--speed",
+    "yaw-steps": "--speed", "position-legs": "--leg", "yaw-legs": "--target",
+    "battery": "--initial-charge", "camera-calibration": "--speed",
+}
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "5e-324", "1e-320", "1e308", "-1e308"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(EXPERIMENT_NAMES),
+    value=st.one_of(
+        st.sampled_from(EDGE_VALUES),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.floats(min_value=-200.0, max_value=200.0).map(repr),
+    ),
+)
+def test_experiment_flag_fuzz(name, value):
+    """No flag value reaches a traceback; an emitted scenario loads back."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["experiment", name, f"{NARROWING_FLAG[name]}={value}", "--emit-scenario"])
+    assert code in (0, 1, 2)
+    if code == 0:
+        load_scenario(out.getvalue())
+    else:
+        assert out.getvalue() == "" and err.getvalue()
 
 
 def src_env():

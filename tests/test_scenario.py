@@ -395,6 +395,19 @@ def test_malformed_document_message(doc, message):
     assert str(info.value) == message
 
 
+def test_start_outside_arena_rejected_at_load():
+    import dronesim
+    from dronesim.world import ConfigurationError
+
+    with pytest.raises(ConfigurationError) as info:
+        load_scenario(HEAD + "\n[drone a]\nposition = 0 0 3.5\n")
+    assert str(info.value) == "[drone a] position: initial position outside arena"
+    assert isinstance(info.value, ScenarioError)
+    assert dronesim.ConfigurationError is ConfigurationError
+    with pytest.raises(ConfigurationError):
+        Scenario(name="oob", drones=(DroneSpec(id="a", position=(0.0, -2.0, 1.0)),))
+
+
 # Non-finite numbers are rejected at the key or object that holds them.
 NON_FINITE = [
     ("noise nan", HEAD + "noise_position_std = nan\n", "[scenario] noise_position_std"),

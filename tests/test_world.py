@@ -4,6 +4,7 @@ import pytest
 
 from dronesim.camera import CameraConfig
 from dronesim.control import Command
+from dronesim.geometry import wrap_deg
 from dronesim.scenario import DroneSpec, LightSpec, Scenario
 from dronesim.world import (
     CapabilityError,
@@ -59,6 +60,14 @@ class TestCreateWorld:
                     drones=(DroneSpec(id="cf1", position=(100.0, 0.0, 0.0)),),
                 )
             )
+
+
+@pytest.mark.parametrize("yaw", [540.0, -190.0, 1e300])
+def test_initial_yaw_wrapped_from_tick_0(yaw):
+    _, trajs = run_scenario(hover_scenario(duration=2, yaw=yaw))
+    logged = [row.yaw_deg for row in trajs["cf1"].rows]
+    assert -180.0 < logged[0] <= 180.0
+    assert logged == [wrap_deg(yaw)] * 3
 
 
 class TestStep:

@@ -54,7 +54,16 @@ def _ticks(seconds: float) -> int:
 
 
 def _sname(base: str, value: float) -> str:
-    return f"{base}{value:g}".replace("-", "m")
+    """A scenario name for one flag value, distinct for distinct values.
+
+    ``:g`` where it reads back as the same value and has no ``+`` (which the
+    name rule rejects); otherwise the shortest round-trip form, without
+    the exponent's ``+``.
+    """
+    text = f"{value:g}"
+    if "+" in text or float(text) != value:
+        text = repr(value).replace("+", "")
+    return f"{base}{text}".replace("-", "m")
 
 
 def build_line2d(speed: float) -> Variant:

@@ -42,11 +42,6 @@ def body_to_world(v: Vec3, yaw_deg: float) -> Vec3:
     return (c * v[0] - s * v[1], s * v[0] + c * v[1], v[2])
 
 
-def world_to_body(v: Vec3, yaw_deg: float) -> Vec3:
-    """Inverse of :func:`body_to_world`."""
-    return body_to_world(v, -yaw_deg)
-
-
 def saturate(v: Vec3, vmax: float) -> Vec3:
     """Clamp a vector's magnitude to ``vmax``, preserving its direction."""
     n = norm(v)

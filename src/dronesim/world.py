@@ -11,14 +11,18 @@ determinism and pinned by tests):
     3. battery      -- discharge curve advances; a drone whose charge
                        reaches 0 is grounded (velocity zeroed, altitude 0)
     4. media        -- staged LED states become visible; messages staged
-                       last tick are delivered into receiver inboxes with
-                       range/bearing computed at delivery time
-    5. sensors      -- camera-equipped drones sample detections
+                       last tick are recorded as this tick's deliveries
+    5. sensors      -- no work in the tick: readings (range/bearing at
+                       delivery time) and detections are computed on first
+                       read from the tick's snapshot, then cached
     6. logging      -- the caller records trajectory rows (see run())
 
 Consequences: a message sent at tick k is readable exactly at tick k+1, an
 LED change is visible to cameras starting the next tick, and composing runs
 is associative (run(w, a+b) == run(w, a) then run(., b), row for row).
+Sensing costs nothing until it is read: a drone's ``inbox`` and
+``detections`` hold the same values the tick would have computed, and they
+are ``[]`` before the first tick.
 
 ``step`` is pure: it returns a new world and never mutates its input.
 Stepping one world is strictly single-threaded; distinct worlds may run in
@@ -64,7 +68,10 @@ class _Drone:
         "spec", "x", "y", "z", "yaw", "vx", "vy", "vz", "yaw_rate", "charge",
         "command", "target", "memory", "battery_t", "depleted",
         "led_color", "led_on", "led_staged_color", "led_staged_on",
-        "outbox", "inbox", "detections", "script_idx", "waypoint_idx",
+        "outbox", "script_idx", "waypoint_idx",
+        # The world this record belongs to, and the sensing computed from
+        # its current tick (None until first read).
+        "world", "_inbox", "_detections",
     )
 
     def __init__(self, spec: DroneSpec):
@@ -91,10 +98,28 @@ class _Drone:
         self.led_staged_color = spec.led_color
         self.led_staged_on = spec.led_on
         self.outbox: list[bytes] = []
-        self.inbox: list[RabReading] = []
-        self.detections: list[Detection] = []
+        self._inbox = self._detections = None
         self.script_idx = 0
         self.waypoint_idx = 0
+
+    @property
+    def inbox(self) -> list[RabReading]:
+        """Messages delivered this tick (sent last tick), sorted by sender id."""
+        if self._inbox is None:
+            self._inbox = _receive(self.world.deliveries, self)
+        return self._inbox
+
+    @property
+    def detections(self) -> list[Detection]:
+        """The camera's detections this tick; [] without a camera and
+        before the first tick."""
+        if self._detections is None:
+            world = self.world
+            if self.spec.camera is None or world.deliveries is None:
+                self._detections = []
+            else:
+                self._detections = _capture(world, self)
+        return self._detections
 
     def state(self) -> DroneState:
         return DroneState(
@@ -105,7 +130,7 @@ class _Drone:
             charge=self.charge,
         )
 
-    def copy(self) -> "_Drone":
+    def copy(self, world: "World") -> "_Drone":
         other = _Drone.__new__(_Drone)
         other.spec = self.spec
         other.x, other.y, other.z = self.x, self.y, self.z
@@ -123,10 +148,10 @@ class _Drone:
         other.led_staged_color = self.led_staged_color
         other.led_staged_on = self.led_staged_on
         other.outbox = list(self.outbox)
-        other.inbox = list(self.inbox)
-        other.detections = list(self.detections)
         other.script_idx = self.script_idx
         other.waypoint_idx = self.waypoint_idx
+        other.world = world
+        other._inbox = other._detections = None
         return other
 
 
@@ -137,7 +162,8 @@ class World:
     operations (:func:`set_led`, :func:`rab_send`) nothing mutates them.
     """
 
-    __slots__ = ("scenario", "tick", "dt", "drones", "index", "lights", "rng")
+    __slots__ = ("scenario", "tick", "dt", "drones", "index", "lights", "rng",
+                 "deliveries")
 
     def __init__(self, scenario: Scenario, drones: list[_Drone], tick: int = 0,
                  rng: Optional[random.Random] = None):
@@ -150,6 +176,11 @@ class World:
             Light(l.id, l.position, l.color) for l in scenario.lights
         )
         self.rng = rng
+        # This tick's messages, one (position, id, range_m, payloads) entry
+        # per sender in id order; None until the first tick.
+        self.deliveries: Optional[tuple] = None
+        for d in drones:
+            d.world = self
 
     @property
     def time_s(self) -> float:
@@ -160,9 +191,10 @@ class World:
         clone.scenario = self.scenario
         clone.tick = self.tick
         clone.dt = self.dt
-        clone.drones = [d.copy() for d in self.drones]
+        clone.drones = [d.copy(clone) for d in self.drones]
         clone.index = {d.spec.id: d for d in clone.drones}
         clone.lights = self.lights
+        clone.deliveries = self.deliveries
         clone.rng = None
         if self.rng is not None:
             clone.rng = random.Random()
@@ -264,7 +296,34 @@ def camera_capture(world: World, drone_id: str) -> list[Detection]:
     drone = world.drone(drone_id)
     if drone.spec.camera is None:
         raise CapabilityError(f"drone {drone_id!r} has no camera")
-    return _capture(world, drone)
+    if world.deliveries is None:
+        # Before the first tick: project now, ``drone.detections`` stays [].
+        return _capture(world, drone)
+    return list(drone.detections)
+
+
+def _receive(deliveries, receiver: _Drone) -> list[RabReading]:
+    """The readings of this tick's deliveries within range of ``receiver``."""
+    received = []
+    if not deliveries:
+        return received
+    rx, ry, rz = receiver_position = (receiver.x, receiver.y, receiver.z)
+    receiver_yaw = receiver.yaw
+    receiver_id = receiver.spec.id
+    for sender_position, sender_id, range_m, payloads in deliveries:
+        if sender_id == receiver_id:
+            continue
+        if range_m > 0.0:
+            dx = sender_position[0] - rx
+            dy = sender_position[1] - ry
+            dz = sender_position[2] - rz
+            if math.sqrt(dx * dx + dy * dy + dz * dz) > range_m:
+                continue
+        for payload in payloads:
+            received.append(make_reading(
+                receiver_position, receiver_yaw, sender_position, payload, sender_id,
+            ))
+    return received
 
 
 def _capture(world: World, drone: _Drone) -> list[Detection]:
@@ -342,44 +401,25 @@ def _advance(world: World) -> None:
         drone.yaw_rate = 0.0
         drone.z = 0.0
 
-    # Phase 4: media -- publish staged LEDs, deliver staged messages.
+    # Phase 4: media -- publish staged LEDs and record the deliveries, which
+    # drop the sensing cached for the previous tick.
+    senders = []
     for drone in world.drones:
         drone.led_color = drone.led_staged_color
         drone.led_on = drone.led_staged_on
+        drone._inbox = drone._detections = None
+        if drone.outbox:
+            senders.append((
+                (drone.x, drone.y, drone.z), drone.spec.id,
+                drone.spec.rab.range_m, tuple(drone.outbox),
+            ))
+            drone.outbox = []
     # Each inbox lists its readings by sender id; taking the senders in id
     # order builds it sorted.
-    senders = sorted(
-        ((d, (d.x, d.y, d.z), d.spec.id, d.spec.rab.range_m, d.outbox)
-         for d in world.drones if d.outbox),
-        key=lambda entry: entry[2],
-    )
-    for receiver in world.drones:
-        received = []
-        if senders:
-            rx, ry, rz = receiver_position = (receiver.x, receiver.y, receiver.z)
-            receiver_yaw = receiver.yaw
-            for sender, sender_position, sender_id, rng_limit, outbox in senders:
-                if sender is receiver:
-                    continue
-                if rng_limit > 0.0:
-                    dx = sender_position[0] - rx
-                    dy = sender_position[1] - ry
-                    dz = sender_position[2] - rz
-                    if math.sqrt(dx * dx + dy * dy + dz * dz) > rng_limit:
-                        continue
-                for payload in outbox:
-                    received.append(make_reading(
-                        receiver_position, receiver_yaw,
-                        sender_position, payload, sender_id,
-                    ))
-        receiver.inbox = received
-    for entry in senders:
-        entry[0].outbox = []
+    senders.sort(key=lambda entry: entry[1])
+    world.deliveries = tuple(senders)
 
-    # Phase 5: sensors sample.
-    for drone in world.drones:
-        if drone.spec.camera is not None:
-            drone.detections = _capture(world, drone)
+    # Phase 5: sensors -- nothing to do; see _Drone.inbox and .detections.
 
     world.tick = tick + 1
 

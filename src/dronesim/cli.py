@@ -7,8 +7,9 @@ Commands:
     metrics mse <a.csv> <b.csv> --column NAME
     fit-battery <samples.csv> [--tmax S]
 
-Exit codes: 0 success, 1 usage error, 2 scenario or input parse/validation
-error, 3 runtime failure. Standard output is stable key=value lines.
+Exit codes: 0 success, 1 usage error, 2 scenario or input error (including
+an input file that cannot be read), 3 runtime failure such as an output that
+cannot be written. Standard output is stable key=value lines.
 Experiment flags are checked by argparse: --speed must be finite and > 0,
 the others finite (else exit 1); a scenario they cannot build exits 2.
 """
@@ -132,7 +133,10 @@ class _InputError(Exception):
 
 
 def _cmd_run(args) -> int:
-    scenario = load_scenario_file(args.scenario)
+    try:
+        scenario = load_scenario_file(args.scenario)
+    except OSError as exc:
+        raise _InputError(f"{args.scenario}: {exc.strerror or exc}") from exc
     _run_variant(Variant(scenario, {}, ()), Path(args.out), args.ticks)
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .geometry import (
     Vec3,
@@ -123,8 +123,7 @@ class ControllerLimits:
                 raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class DroneState:
+class DroneState(NamedTuple):
     """Pose, velocity, and battery charge of one drone (world frame)."""
 
     position: Vec3
@@ -134,8 +133,7 @@ class DroneState:
     charge: float = 1.0
 
 
-@dataclass(frozen=True)
-class ControllerMemory:
+class ControllerMemory(NamedTuple):
     """Previous-tick errors for the derivative terms.
 
     ``None`` fields mean "no history yet": the first tick after a command
@@ -214,13 +212,9 @@ def position_control_step(
         rate_des = kpy * yaw_err
     rate_des = clamp(rate_des, -limits.max_yaw_rate, limits.max_yaw_rate)
 
-    new_memory = ControllerMemory(
-        vel_err=memory.vel_err,
-        yaw_rate_err=memory.yaw_rate_err,
-        pos_err=(ex, ey, ez),
-        yaw_err=yaw_err,
+    return v_des, rate_des, ControllerMemory(
+        memory.vel_err, memory.yaw_rate_err, (ex, ey, ez), yaw_err
     )
-    return v_des, rate_des, new_memory
 
 
 def drone_control_step(
@@ -287,61 +281,47 @@ def integrate(state: DroneState, new_velocity: Vec3, new_yaw_rate: float, dt: fl
     if z < 0.0:
         z = 0.0
     yaw = wrap_deg(state.yaw + new_yaw_rate * dt)
-    return DroneState(
-        position=(x, y, z),
-        yaw=yaw,
-        velocity=new_velocity,
-        yaw_rate=new_yaw_rate,
-        charge=state.charge,
-    )
+    return DroneState((x, y, z), yaw, new_velocity, new_yaw_rate, state.charge)
 
 
 def _velocity_loop(state, memory, v_des, rate_des, gains, limits, dt):
-    """Track a desired world velocity and yaw rate; the tail of both loops."""
-    new_velocity, vel_err = _track_vector(
-        state.velocity, v_des, memory.vel_err, gains.velocity,
-        limits.max_linear_accel, limits.max_linear_speed, dt,
-    )
-    new_rate, rate_err = _track_scalar(
-        state.yaw_rate, rate_des, memory.yaw_rate_err, gains.velocity_yaw,
-        limits.max_yaw_accel, dt,
-    )
-    new_memory = ControllerMemory(
-        vel_err=vel_err,
-        yaw_rate_err=rate_err,
-        pos_err=memory.pos_err,
-        yaw_err=memory.yaw_err,
-    )
-    return new_velocity, new_rate, new_memory
+    """Track a desired world velocity and yaw rate; the tail of both loops.
 
-
-def _track_vector(current, desired, prev_err, pd, accel_max, speed_max, dt):
-    ex = desired[0] - current[0]
-    ey = desired[1] - current[1]
-    ez = desired[2] - current[2]
+    Each axis and the yaw rate get kp*err + kd*d(err)/dt (no derivative
+    term without history), clamped to the acceleration limits.
+    """
+    vx, vy, vz = state.velocity
+    ex = v_des[0] - vx
+    ey = v_des[1] - vy
+    ez = v_des[2] - vz
+    pd = gains.velocity
     kp = pd.kp
     kd = pd.kd
-    if kd != 0.0 and prev_err is not None:
-        ax = kp * ex + kd * (ex - prev_err[0]) / dt
-        ay = kp * ey + kd * (ey - prev_err[1]) / dt
-        az = kp * ez + kd * (ez - prev_err[2]) / dt
+    prev = memory.vel_err
+    if kd != 0.0 and prev is not None:
+        ax = kp * ex + kd * (ex - prev[0]) / dt
+        ay = kp * ey + kd * (ey - prev[1]) / dt
+        az = kp * ez + kd * (ez - prev[2]) / dt
     else:
         ax = kp * ex
         ay = kp * ey
         az = kp * ez
-    ax, ay, az = saturate((ax, ay, az), accel_max)
-    new = (current[0] + ax * dt, current[1] + ay * dt, current[2] + az * dt)
+    ax, ay, az = saturate((ax, ay, az), limits.max_linear_accel)
     # Defensive cap: tracking approaches the (already saturated) setpoint
     # from below, so this only trims float round-off.
-    new = saturate(new, speed_max)
-    return new, (ex, ey, ez)
+    new_velocity = saturate(
+        (vx + ax * dt, vy + ay * dt, vz + az * dt), limits.max_linear_speed
+    )
 
-
-def _track_scalar(current, desired, prev_err, pd, accel_max, dt):
-    err = desired - current
-    if pd.kd != 0.0 and prev_err is not None:
-        a = pd.kp * err + pd.kd * (err - prev_err) / dt
+    rate = state.yaw_rate
+    rate_err = rate_des - rate
+    pd = gains.velocity_yaw
+    prev = memory.yaw_rate_err
+    if pd.kd != 0.0 and prev is not None:
+        a = pd.kp * rate_err + pd.kd * (rate_err - prev) / dt
     else:
-        a = pd.kp * err
-    a = clamp(a, -accel_max, accel_max)
-    return current + a * dt, err
+        a = pd.kp * rate_err
+    a = clamp(a, -limits.max_yaw_accel, limits.max_yaw_accel)
+    return new_velocity, rate + a * dt, ControllerMemory(
+        (ex, ey, ez), rate_err, memory.pos_err, memory.yaw_err
+    )

@@ -44,11 +44,12 @@ def body_to_world(v: Vec3, yaw_deg: float) -> Vec3:
 
 def saturate(v: Vec3, vmax: float) -> Vec3:
     """Clamp a vector's magnitude to ``vmax``, preserving its direction."""
-    n = norm(v)
+    x, y, z = v
+    n = math.sqrt(x * x + y * y + z * z)
     if n <= vmax:
         return v
     s = vmax / n
-    return (v[0] * s, v[1] * s, v[2] * s)
+    return (x * s, y * s, z * s)
 
 
 def clamp(x: float, lo: float, hi: float) -> float:

@@ -189,10 +189,15 @@ def validate_scenario(s: Scenario) -> None:
                 raise ScenarioError("waypoints must be finite", f"{loc} points")
 
 
-def _check_color(color, location):
-    if len(color) != 3 or not all(
+def is_color(color) -> bool:
+    """Whether ``color`` is three integer channels in [0, 255]."""
+    return len(color) == 3 and all(
         isinstance(ch, int) and 0 <= ch <= 255 for ch in color
-    ):
+    )
+
+
+def _check_color(color, location):
+    if not is_color(color):
         raise ScenarioError("color must be three integers in [0, 255]", location)
 
 

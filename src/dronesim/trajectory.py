@@ -55,33 +55,24 @@ class Summary(NamedTuple):
     time_to_zero_charge: Optional[float]
 
 
-def _f(value: float) -> str:
-    # +0.0 folds negative zero so logs don't flip between 0 and -0.
-    return f"{value + 0.0:.6f}"
+# One CSV row: the tick, time_s, the drone id, then nine telemetry floats.
+# Every float written gets +0.0 first, which folds negative zero so logs
+# don't flip between 0 and -0.
+_ROW = "%d,%.6f,%s" + ",%.6f" * 9
 
 
 def format_row(drone_id: str, row: TrajectoryRow) -> str:
-    return ",".join(
-        (
-            str(row.tick),
-            _f(row.time_s),
-            drone_id,
-            _f(row.x),
-            _f(row.y),
-            _f(row.z),
-            _f(row.yaw_deg),
-            _f(row.vx),
-            _f(row.vy),
-            _f(row.vz),
-            _f(row.yaw_rate_deg_s),
-            _f(row.charge),
-        )
+    tick, t, x, y, z, yaw, vx, vy, vz, rate, charge = row
+    return _ROW % (
+        tick, t + 0.0, drone_id, x + 0.0, y + 0.0, z + 0.0, yaw + 0.0,
+        vx + 0.0, vy + 0.0, vz + 0.0, rate + 0.0, charge + 0.0,
     )
 
 
 def trajectory_csv(traj: Trajectory) -> str:
+    drone_id = traj.drone_id
     lines = [CSV_HEADER]
-    lines.extend(format_row(traj.drone_id, row) for row in traj.rows)
+    lines += [format_row(drone_id, row) for row in traj.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -178,4 +169,4 @@ def export_plot_columns(trajectories: Sequence[Trajectory], projection: str, sin
             sink.write("\n")
         for row in traj.rows:
             a, b = fields(row)
-            sink.write(f"{_f(a)} {_f(b)}\n")
+            sink.write("%.6f %.6f\n" % (a + 0.0, b + 0.0))

@@ -47,7 +47,7 @@ from .control import (
 )
 from .geometry import Vec3, clamp, wrap_deg
 from .rab import PayloadError, RabReading, make_reading
-from .scenario import ConfigurationError, DroneSpec, Scenario  # noqa: F401 (re-exported)
+from .scenario import ConfigurationError, DroneSpec, Scenario, is_color  # noqa: F401 (re-exported)
 from .trajectory import Trajectory, TrajectoryRow
 
 
@@ -123,11 +123,8 @@ class _Drone:
 
     def state(self) -> DroneState:
         return DroneState(
-            position=(self.x, self.y, self.z),
-            yaw=self.yaw,
-            velocity=(self.vx, self.vy, self.vz),
-            yaw_rate=self.yaw_rate,
-            charge=self.charge,
+            (self.x, self.y, self.z), self.yaw,
+            (self.vx, self.vy, self.vz), self.yaw_rate, self.charge,
         )
 
     def copy(self, world: "World") -> "_Drone":
@@ -263,10 +260,13 @@ def _record(world: World, trajectories) -> None:
 # Actuator staging and sensor reads (the public sensing API)
 
 def set_led(world: World, drone_id: str, color: tuple[int, int, int], on: bool) -> None:
-    """Stage the drone's LED state; cameras see it starting next tick."""
+    """Stage the drone's LED state; cameras see it starting next tick.
+
+    Each channel must be an integer in [0, 255], as in a scenario document.
+    """
     drone = world.drone(drone_id)
-    if len(color) != 3 or not all(0 <= ch <= 255 for ch in color):
-        raise ValueError("color must be three channels in [0, 255]")
+    if not is_color(color):
+        raise ValueError("color must be three integers in [0, 255]")
     drone.led_staged_color = (int(color[0]), int(color[1]), int(color[2]))
     drone.led_staged_on = bool(on)
 
@@ -368,7 +368,7 @@ def _advance(world: World) -> None:
     # Phase 2: kinematics (semi-implicit Euler) + arena clamp + noise hook.
     lo = scenario.arena_min
     hi = scenario.arena_max
-    rng = world.rng
+    gauss = None if world.rng is None else world.rng.gauss
     std = scenario.noise_position_std
     for drone, (velocity, yaw_rate) in zip(world.drones, new_motion):
         vx, vy, vz = velocity
@@ -377,10 +377,10 @@ def _advance(world: World) -> None:
         x = drone.x + vx * dt
         y = drone.y + vy * dt
         z = drone.z + vz * dt
-        if rng is not None:
-            x += rng.gauss(0.0, std)
-            y += rng.gauss(0.0, std)
-            z += rng.gauss(0.0, std)
+        if gauss is not None:
+            x += gauss(0.0, std)
+            y += gauss(0.0, std)
+            z += gauss(0.0, std)
         drone.x = clamp(x, lo[0], hi[0])
         drone.y = clamp(y, lo[1], hi[1])
         z = clamp(z, lo[2], hi[2])

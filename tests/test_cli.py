@@ -104,10 +104,22 @@ class TestRun:
         assert code == 2
         assert err.startswith("error: 'utf-8' codec can't decode")
 
-    def test_missing_file_exits_3(self, tmp_path, capsys):
+    def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(["run", tmp_path / "nope.scn"], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "nope.scn" in err
+
+    def test_unreadable_scenario_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(["run", tmp_path], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_unwritable_output_exits_3(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run_cli(["run", SCENARIOS / "hover.scn", "--out", blocker], capsys)
         assert code == 3
-        assert "error" in err
+        assert err.startswith("error: ")
 
 
 class TestMetrics:

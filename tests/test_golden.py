@@ -1,4 +1,8 @@
-"""Golden-file byte equality for the shipped scenarios (CSV stability)."""
+"""Golden-file byte equality for the shipped scenarios (CSV stability).
+
+``golden/flight_paths.scn`` is not shipped: it covers the flight paths the
+shipped scenarios leave out (derivative gains, body-frame scripts, jitter,
+waypoint parking, an arena clamp, grounding mid-run)."""
 
 from pathlib import Path
 
@@ -21,7 +25,15 @@ CASES = [
 
 @pytest.mark.parametrize("name,drone_ids", CASES)
 def test_golden_bytes(name, drone_ids):
-    scenario = load_scenario_file(REPO / "scenarios" / f"{name}.scn")
+    assert_golden(REPO / "scenarios" / f"{name}.scn", name, drone_ids)
+
+
+def test_golden_flight_paths():
+    assert_golden(GOLDEN / "flight_paths.scn", "flight_paths", ["body", "parker", "sinker"])
+
+
+def assert_golden(path, name, drone_ids):
+    scenario = load_scenario_file(path)
     _, trajectories = run_scenario(scenario)
     assert sorted(trajectories) == sorted(drone_ids)
     for drone_id in drone_ids:

@@ -1,6 +1,9 @@
 import io
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dronesim.scenario import DroneSpec, Scenario
 from dronesim.trajectory import (
@@ -9,6 +12,7 @@ from dronesim.trajectory import (
     TrajectoryRow,
     export_plot_columns,
     extract_column,
+    format_row,
     mse,
     summarize,
     trajectory_csv,
@@ -67,6 +71,45 @@ class TestCsv:
         _, t1 = run_scenario(scenario)
         _, t2 = run_scenario(scenario)
         assert trajectory_csv(t1["cf1"]) == trajectory_csv(t2["cf1"])
+
+
+def _oracle_f(value):
+    return f"{value + 0.0:.6f}"
+
+
+def _oracle_row(drone_id, r):
+    """The CSV row as formatted one field at a time (the original code)."""
+    return ",".join((
+        str(r.tick), _oracle_f(r.time_s), drone_id, _oracle_f(r.x), _oracle_f(r.y),
+        _oracle_f(r.z), _oracle_f(r.yaw_deg), _oracle_f(r.vx), _oracle_f(r.vy),
+        _oracle_f(r.vz), _oracle_f(r.yaw_rate_deg_s), _oracle_f(r.charge),
+    ))
+
+
+_EDGES = [0.0, -0.0, -4e-7, 4e-7, 5e-7, -5e-7, 1.5e-6, 2.5e-6, -1e-300,
+          1e300, -1e300, math.inf, -math.inf, math.nan, -math.nan]
+_field = st.floats() | st.sampled_from(_EDGES)
+_rows = st.builds(
+    TrajectoryRow,
+    st.integers(min_value=0, max_value=2**70) | st.sampled_from([0, 10**19]),
+    *[_field] * 10,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(drone_id=st.text(min_size=1, max_size=8), rows=st.lists(_rows, max_size=3))
+@example(drone_id="cf1", rows=[TrajectoryRow(2**64, *_EDGES[:10]),
+                               TrajectoryRow(7, *_EDGES[5:])])
+def test_csv_matches_per_field_oracle(drone_id, rows):
+    text = trajectory_csv(Trajectory(drone_id, rows))
+    want = [CSV_HEADER] + [_oracle_row(drone_id, r) for r in rows]
+    assert text == "\n".join(want) + "\n"
+    for r in rows:
+        assert format_row(drone_id, r) == _oracle_row(drone_id, r)
+
+
+def test_tiny_negative_keeps_its_sign():
+    assert format_row("a", row(0, x=-4e-7, y=-0.0)).split(",")[3:5] == ["-0.000000", "0.000000"]
 
 
 class TestMse:

@@ -291,6 +291,19 @@ class TestLedAndCamera:
         with pytest.raises(KeyError):
             set_led(world, "nobody", (255, 255, 255), True)
 
+    @pytest.mark.parametrize("color", [
+        (0.9, 254.6, 12.99), (0, 0, 0.5), (255.5, 0, 0), (0, 0, float("nan")),
+        (0, 0, float("inf")), (0, 254.0, 12), (-1, 0, 0), (256, 0, 0), (0, 0),
+        (0, 0, 0, 0),
+    ])
+    def test_set_led_rejects_bad_channels(self, color):
+        # Channels are integers, as in a scenario document. Fractional ones
+        # were once truncated: (0.9, 254.6, 12.99) was seen as (0, 254, 12).
+        world = create_world(hover_scenario())
+        with pytest.raises(ValueError):
+            set_led(world, "cf1", color, True)
+        assert world.drone("cf1").led_staged_color == (255, 255, 255)
+
     def test_detections_sorted(self):
         scenario = Scenario(
             name="sorted",

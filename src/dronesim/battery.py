@@ -18,7 +18,8 @@ monotonicity numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+
+from ._value import Value
 
 DEFAULT_COEFFS = (1.0, -0.003, 1.42421402327237e-05, -2.5877842137707736e-08)
 DEFAULT_T_MAX = 427.21
@@ -34,14 +35,19 @@ class BatteryModelError(ValueError):
     """Invalid battery model parameters or fit input."""
 
 
-@dataclass(frozen=True)
-class BatteryModel:
-    coeffs: tuple[float, float, float, float] = DEFAULT_COEFFS
-    t_max: float = DEFAULT_T_MAX
-    cutoff_charge: float = field(default=None)  # type: ignore[assignment]
-    load_factor: float = 1.0
+class BatteryModel(Value):
+    """The curve's four coefficients, its t_max (s), the charge at t_max
+    (derived from the curve when None) and the discharge speed-up."""
 
-    def __post_init__(self):
+    __slots__ = ("coeffs", "t_max", "cutoff_charge", "load_factor")
+    _defaults = {
+        "coeffs": DEFAULT_COEFFS,
+        "t_max": DEFAULT_T_MAX,
+        "cutoff_charge": None,
+        "load_factor": 1.0,
+    }
+
+    def _validate(self):
         if len(self.coeffs) != 4 or not all(math.isfinite(c) for c in self.coeffs):
             raise BatteryModelError("coeffs must be four finite numbers")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):

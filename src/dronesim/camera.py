@@ -14,31 +14,31 @@ and v computed the same way from the vertical angle, growing downward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
+from ._value import Value
 from .geometry import Vec3
 
 RESOLUTION = 320  # pixels per side, fixed
 _HALF = RESOLUTION // 2
 
 
-@dataclass(frozen=True)
-class CameraConfig:
-    aperture_deg: float = 50.0
-    mount_yaw_offset_deg: float = 0.0  # 0 = forward along body x
+class CameraConfig(Value):
+    """Full aperture and mount yaw offset (0 = forward along body x), in
+    degrees; ``tan_half_aperture`` is derived from the aperture."""
 
-    def __post_init__(self):
+    __slots__ = ("aperture_deg", "mount_yaw_offset_deg", "tan_half_aperture")
+    _fields = __slots__[:2]
+    _defaults = {"aperture_deg": 50.0, "mount_yaw_offset_deg": 0.0}
+
+    def _validate(self):
         if not 0.0 < self.aperture_deg < 180.0:
             raise ValueError("aperture must be in (0, 180) degrees")
         if not math.isfinite(self.mount_yaw_offset_deg):
             raise ValueError("mount yaw offset must be finite")
-
-    @cached_property
-    def tan_half_aperture(self) -> float:
-        return math.tan(math.radians(self.aperture_deg / 2.0))
+        object.__setattr__(self, "tan_half_aperture",
+                           math.tan(math.radians(self.aperture_deg / 2.0)))
 
 
 class Detection(NamedTuple):

@@ -17,7 +17,6 @@ the others finite (else exit 1); a scenario they cannot build exits 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -220,6 +219,8 @@ def _cmd_metrics(args) -> int:
 
 def _read_csv_columns(path, names):
     """The named columns of a CSV file, each as a list of floats."""
+    import csv  # on first use: only `metrics` and `fit-battery` read CSV
+
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)

@@ -22,9 +22,9 @@ commanded turn rates are not fully reached within a short turn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from ._value import Value
 from .geometry import (
     Vec3,
     ZERO3,
@@ -41,8 +41,7 @@ BODY = "body"
 WORLD = "world"
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Value):
     """A velocity or position setpoint for one drone.
 
     ``linear`` is m/s for velocity commands and metres for position commands;
@@ -51,12 +50,9 @@ class Command:
     interpretation of ``linear`` (and of ``angular`` for position commands).
     """
 
-    kind: str
-    frame: str
-    linear: Vec3
-    angular: float
+    __slots__ = ("kind", "frame", "linear", "angular")
 
-    def __post_init__(self):
+    def _validate(self):
         if self.kind not in (VELOCITY, POSITION):
             raise ValueError(f"unknown command kind {self.kind!r}")
         if self.frame not in (BODY, WORLD):
@@ -76,14 +72,13 @@ class Command:
 HOVER = Command.velocity(ZERO3)
 
 
-@dataclass(frozen=True)
-class PDGains:
-    """Proportional gain (1/s) and derivative gain (dimensionless)."""
+class PDGains(Value):
+    """Proportional gain ``kp`` (1/s) and derivative gain ``kd`` (dimensionless)."""
 
-    kp: float
-    kd: float = 0.0
+    __slots__ = ("kp", "kd")
+    _defaults = {"kd": 0.0}
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.kp > 0.0:
             raise ValueError("kp must be > 0")
         if self.kd < 0.0:
@@ -92,30 +87,31 @@ class PDGains:
             raise ValueError("gains must be finite")
 
 
-@dataclass(frozen=True)
-class GainSet:
+class GainSet(Value):
     """Gains for the four loops: linear/yaw x velocity/position."""
 
-    velocity: PDGains = PDGains(10.0, 0.0)
-    velocity_yaw: PDGains = PDGains(3.0, 0.0)
-    position: PDGains = PDGains(1.0, 0.0)
-    position_yaw: PDGains = PDGains(1.0, 0.0)
+    __slots__ = ("velocity", "velocity_yaw", "position", "position_yaw")
+    _defaults = {
+        "velocity": PDGains(10.0, 0.0),
+        "velocity_yaw": PDGains(3.0, 0.0),
+        "position": PDGains(1.0, 0.0),
+        "position_yaw": PDGains(1.0, 0.0),
+    }
 
 
-@dataclass(frozen=True)
-class ControllerLimits:
-    max_linear_speed: float = 10.0
-    max_yaw_rate: float = 90.0
-    max_linear_accel: float = 5.0
-    max_yaw_accel: float = 720.0
+class ControllerLimits(Value):
+    """Limits on linear speed (m/s), yaw rate (deg/s) and their accelerations."""
 
-    def __post_init__(self):
-        for name in (
-            "max_linear_speed",
-            "max_yaw_rate",
-            "max_linear_accel",
-            "max_yaw_accel",
-        ):
+    __slots__ = ("max_linear_speed", "max_yaw_rate", "max_linear_accel", "max_yaw_accel")
+    _defaults = {
+        "max_linear_speed": 10.0,
+        "max_yaw_rate": 90.0,
+        "max_linear_accel": 5.0,
+        "max_yaw_accel": 720.0,
+    }
+
+    def _validate(self):
+        for name in self._fields:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be > 0")

@@ -27,10 +27,6 @@ def wrap_deg(angle: float) -> float:
     return r - 180.0
 
 
-def norm(v: Vec3) -> float:
-    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-
-
 def body_to_world(v: Vec3, yaw_deg: float) -> Vec3:
     """Rotate a body-frame vector into the world frame by the drone's yaw.
 

@@ -10,18 +10,20 @@ left, the vertical bearing is the elevation angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._value import Value
 from .geometry import Vec3
 
 
-@dataclass(frozen=True)
-class RabConfig:
-    range_m: float = 0.0      # 0 means unlimited
-    payload_max: int = 16
+class RabConfig(Value):
+    """Broadcast range in metres (0 means unlimited) and the largest
+    payload in bytes."""
 
-    def __post_init__(self):
+    __slots__ = ("range_m", "payload_max")
+    _defaults = {"range_m": 0.0, "payload_max": 16}
+
+    def _validate(self):
         if self.range_m < 0.0:
             raise ValueError("range must be >= 0")
         if not math.isfinite(self.range_m):

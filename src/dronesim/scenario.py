@@ -12,18 +12,17 @@ equality), which the test suite checks over randomized scenarios.
 
 from __future__ import annotations
 
-import configparser
 import math
 import re
-from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Any, Callable, ClassVar, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
+from ._value import Value
 from .battery import BatteryModel
 from .camera import CameraConfig
 from .control import BODY, WORLD, Command, ControllerLimits, GainSet
-from .geometry import Vec3, is_finite3
+from .geometry import is_finite3
 from .rab import RabConfig
 
 FORMAT_VERSION = 1
@@ -45,56 +44,64 @@ class ConfigurationError(ScenarioError):
     """A scenario no world can be built from: a drone starts outside the arena."""
 
 
-@dataclass(frozen=True)
-class LightSpec:
-    id: str
-    position: Vec3
-    color: tuple[int, int, int] = (255, 255, 255)
+class LightSpec(Value):
+    """A static light: its id, position and RGB colour."""
+
+    __slots__ = ("id", "position", "color")
+    _defaults = {"color": (255, 255, 255)}
 
 
-@dataclass(frozen=True)
-class WaypointPlan:
+class WaypointPlan(Value):
     """Fly through ``points`` at constant ``speed``, advancing when within
     ``threshold`` metres; hold position at the final point."""
 
-    speed: float
-    points: tuple[Vec3, ...]
-    threshold: float = 0.05
+    __slots__ = ("speed", "points", "threshold")
+    _defaults = {"threshold": 0.05}
 
 
-@dataclass(frozen=True)
-class DroneSpec:
-    id: str
-    position: Vec3 = (0.0, 0.0, 0.0)
-    yaw: float = 0.0
-    charge: float = 1.0
-    gains: GainSet = GainSet()
-    limits: ControllerLimits = ControllerLimits()
-    camera: Optional[CameraConfig] = None
-    rab: RabConfig = RabConfig()
-    rab_broadcast: Optional[bytes] = None
-    led_color: tuple[int, int, int] = (255, 255, 255)
-    led_on: bool = False
-    battery: BatteryModel = BatteryModel()
+class DroneSpec(Value):
+    """One drone's start pose and charge, controller, sensors, LED and battery."""
+
+    __slots__ = ("id", "position", "yaw", "charge", "gains", "limits", "camera",
+                 "rab", "rab_broadcast", "led_color", "led_on", "battery")
+    _defaults = {
+        "position": (0.0, 0.0, 0.0),
+        "yaw": 0.0,
+        "charge": 1.0,
+        "gains": GainSet(),
+        "limits": ControllerLimits(),
+        "camera": None,
+        "rab": RabConfig(),
+        "rab_broadcast": None,
+        "led_color": (255, 255, 255),
+        "led_on": False,
+        "battery": BatteryModel(),
+    }
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str = "scenario"
-    dt: float = 0.1
-    duration: int = 0
-    arena_min: Vec3 = (-1.5, -1.5, 0.0)
-    arena_max: Vec3 = (1.5, 1.5, 3.0)
-    drones: tuple[DroneSpec, ...] = ()
-    lights: tuple[LightSpec, ...] = ()
-    scripts: dict[str, tuple[tuple[int, Command], ...]] = field(default_factory=dict)
-    waypoints: dict[str, WaypointPlan] = field(default_factory=dict)
-    noise_seed: int = 0
-    noise_position_std: float = 0.0
+class Scenario(Value):
+    """World settings, the drones and lights, and per-drone scripts
+    (``(tick, Command)`` entries) or waypoint plans, keyed by drone id."""
+
+    __slots__ = ("name", "dt", "duration", "arena_min", "arena_max", "drones",
+                 "lights", "scripts", "waypoints", "noise_seed", "noise_position_std")
+    _defaults = {
+        "name": "scenario",
+        "dt": 0.1,
+        "duration": 0,
+        "arena_min": (-1.5, -1.5, 0.0),
+        "arena_max": (1.5, 1.5, 3.0),
+        "drones": (),
+        "lights": (),
+        "scripts": {},
+        "waypoints": {},
+        "noise_seed": 0,
+        "noise_position_std": 0.0,
+    }
     # The document format this scenario renders to; not a field.
-    format_version: ClassVar[int] = FORMAT_VERSION
+    format_version = FORMAT_VERSION
 
-    def __post_init__(self):
+    def _validate(self):
         validate_scenario(self)
 
 
@@ -309,15 +316,16 @@ class _Field(NamedTuple):
 
 # Objects that several drone keys fill in, by attribute path from the spec:
 # (stock instance that unset keys keep, error location; None: the first key).
+_STOCK = DroneSpec._defaults
 _GROUPS = {
-    "gains.velocity": (DroneSpec.gains.velocity, None),
-    "gains.velocity_yaw": (DroneSpec.gains.velocity_yaw, None),
-    "gains.position": (DroneSpec.gains.position, None),
-    "gains.position_yaw": (DroneSpec.gains.position_yaw, None),
-    "limits": (DroneSpec.limits, "limits"),
+    "gains.velocity": (_STOCK["gains"].velocity, None),
+    "gains.velocity_yaw": (_STOCK["gains"].velocity_yaw, None),
+    "gains.position": (_STOCK["gains"].position, None),
+    "gains.position_yaw": (_STOCK["gains"].position_yaw, None),
+    "limits": (_STOCK["limits"], "limits"),
     "camera": (CameraConfig(), None),
-    "rab": (DroneSpec.rab, "rab"),
-    "battery": (DroneSpec.battery, "battery"),
+    "rab": (_STOCK["rab"], "rab"),
+    "battery": (_STOCK["battery"], "battery"),
 }
 
 _SCENARIO_FIELDS = (
@@ -381,6 +389,8 @@ _SECTIONS = {
 
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
+    import configparser  # on first use: most CLI commands load no document
+
     parser = configparser.ConfigParser(
         interpolation=None, strict=True, delimiters=("=",)
     )
@@ -467,7 +477,7 @@ def _read_section(location: str, raw: dict, fields) -> dict:
 
 
 def _build_drone(location: str, ident: str, spec: dict, groups: dict) -> DroneSpec:
-    """A drone spec; a group with no key set keeps the dataclass default."""
+    """A drone spec; a group with no key set keeps the stock default."""
     if spec.pop("camera", False):
         groups.setdefault("camera", {})
     elif "camera" in groups:
@@ -478,13 +488,13 @@ def _build_drone(location: str, ident: str, spec: dict, groups: dict) -> DroneSp
             # An unset cutoff is derived from the curve, not kept from the stock.
             values.setdefault("cutoff_charge", None)
         try:
-            built = replace(stock, **values)
+            built = stock._replace(**values)
         except ValueError as exc:
             where = where or next(f.key for f in _SECTIONS["drone"] if f.group == group)
             raise ScenarioError(str(exc), f"{location} {where}") from exc
         holder, _, loop = group.partition(".")
         if loop:
-            built = replace(spec.get(holder, DroneSpec.gains), **{loop: built})
+            built = spec.get(holder, _STOCK["gains"])._replace(**{loop: built})
         spec[holder] = built
     return DroneSpec(id=ident, **spec)
 
@@ -525,7 +535,7 @@ def _render_section(header: str, fields, spec) -> str:
 
 def _default(f: _Field, holder):
     if f.group is None:
-        return getattr(type(holder), f.attr)  # the dataclass default
+        return type(holder)._defaults[f.attr]
     if f.attr == "cutoff_charge":
         return holder.poly(holder.t_max)  # derived from the curve, not stored
     return getattr(_GROUPS[f.group][0], f.attr)

@@ -9,10 +9,10 @@ byte-identical files, so golden files can be compared directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
+from ._value import Value
 from .geometry import Vec3
 
 CSV_HEADER = "tick,time_s,id,x,y,z,yaw_deg,vx,vy,vz,yaw_rate_deg_s,charge"
@@ -39,10 +39,13 @@ class TrajectoryRow(NamedTuple):
     charge: float
 
 
-@dataclass
-class Trajectory:
-    drone_id: str
-    rows: list[TrajectoryRow]
+class Trajectory(Value):
+    """One drone's ``rows`` of TrajectoryRow; mutable, so not hashable."""
+
+    __slots__ = ("drone_id", "rows")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
 
 
 class Summary(NamedTuple):

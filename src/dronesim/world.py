@@ -42,10 +42,12 @@ from .control import (
     DroneState,
     HOVER,
     POSITION,
+    VELOCITY,
+    WORLD,
     drone_control_step,
     resolve_position_target,
 )
-from .geometry import Vec3, clamp, wrap_deg
+from .geometry import Vec3, clamp, is_finite3, wrap_deg
 from .rab import PayloadError, RabReading, make_reading
 from .scenario import ConfigurationError, DroneSpec, Scenario, is_color  # noqa: F401 (re-exported)
 from .trajectory import Trajectory, TrajectoryRow
@@ -474,5 +476,11 @@ def _apply_waypoints(scenario: Scenario, drone: _Drone) -> None:
         drone.command = HOVER
     else:
         s = plan.speed / dist
-        drone.command = Command.velocity((dx * s, dy * s, dz * s))
+        linear = (dx * s, dy * s, dz * s)
+        if is_finite3(linear):
+            # The usual case skips Command's checks, which could only reject
+            # an overflow of speed / dist; that still raises, as it did.
+            drone.command = Command._unchecked(VELOCITY, WORLD, linear, 0.0)
+        else:
+            drone.command = Command.velocity(linear)
     drone.target = None

@@ -42,7 +42,7 @@ from dronesim.experiments import (
     build_yaw_leg,
     build_yaw_steps,
 )
-from dronesim.geometry import body_to_world, norm, saturate, wrap_deg
+from dronesim.geometry import body_to_world, saturate, wrap_deg
 from dronesim.rab import make_reading
 from dronesim.scenario import (
     DroneSpec,
@@ -58,6 +58,10 @@ from dronesim.world import camera_capture, create_world, run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((REPO / "scenarios").glob("*.scn"))
+
+
+def norm(v):
+    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
 @contextmanager

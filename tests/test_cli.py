@@ -502,3 +502,21 @@ class TestEntryPoint:
             capture_output=True, text=True, env=src_env(),
         )
         assert result.returncode == 1
+
+    def test_import_leaves_heavy_modules_unloaded(self):
+        # -S keeps the environment's site hooks out of sys.modules. The CLI
+        # itself loads no dataclasses (nor the inspect it pulls in), and
+        # configparser and csv only when a command needs them.
+        code = (
+            "import sys, dronesim.cli\n"
+            "heavy = ('dataclasses', 'inspect', 'configparser', 'csv')\n"
+            "print(','.join(m for m in heavy if m in sys.modules))\n"
+            f"dronesim.cli.load_scenario_file({str(SCENARIOS / 'hover.scn')!r})\n"
+            "print('configparser' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["", "True"]

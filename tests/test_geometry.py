@@ -2,7 +2,11 @@ import math
 
 import pytest
 
-from dronesim.geometry import body_to_world, norm, saturate, wrap_deg
+from dronesim.geometry import body_to_world, saturate, wrap_deg
+
+
+def norm(v):
+    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
 def test_body_to_world_identity():

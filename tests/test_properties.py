@@ -14,9 +14,13 @@ from dronesim.control import (
     GainSet,
     velocity_control_step,
 )
-from dronesim.geometry import body_to_world, norm, saturate, wrap_deg
+from dronesim.geometry import body_to_world, saturate, wrap_deg
 from dronesim.rab import make_reading
 from dronesim.trajectory import mse
+
+
+def norm(v):
+    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 small = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)

@@ -9,7 +9,7 @@ from dronesim.camera import CameraConfig, detect_sources
 from dronesim.control import Command
 from dronesim.geometry import wrap_deg
 from dronesim.rab import RabConfig, make_reading
-from dronesim.scenario import DroneSpec, LightSpec, Scenario
+from dronesim.scenario import DroneSpec, LightSpec, Scenario, WaypointPlan
 from dronesim.world import (
     CapabilityError,
     ConfigurationError,
@@ -553,3 +553,16 @@ def test_sensing_is_computed_only_when_read(monkeypatch):
                 camera_capture(world, d.id)
     assert readings == 6 * 5
     assert calls == {"make_reading": 6 * 5, "_capture": 3}
+
+
+def test_overflowing_guidance_is_rejected_not_simulated():
+    # speed / dist overflows to inf: the command check still raises instead
+    # of letting the velocity loop turn it into NaN.
+    scenario = Scenario(
+        name="overflow", duration=2,
+        drones=(DroneSpec(id="cf1", position=(0.0, 0.0, 1.0)),),
+        waypoints={"cf1": WaypointPlan(speed=1e300, points=((0.0, 0.0, 1.0 + 1e-12),),
+                                       threshold=1e-15)},
+    )
+    with pytest.raises(ValueError, match="finite"):
+        run_scenario(scenario)

@@ -47,7 +47,6 @@ from .trajectory import (
 from .world import (
     CapabilityError,
     ConfigurationError,
-    Light,
     World,
     camera_capture,
     create_world,

@@ -10,8 +10,9 @@ Commands:
 Exit codes: 0 success, 1 usage error, 2 scenario or input error (including
 an input file that cannot be read), 3 runtime failure such as an output that
 cannot be written. Standard output is stable key=value lines.
-Experiment flags are checked by argparse: --speed must be finite and > 0,
-the others finite (else exit 1); a scenario they cannot build exits 2.
+Experiment flags: --speed must be finite and > 0, the others finite, and each
+experiment takes only its own (else exit 1, as for ``battery --speed``); a scenario
+they cannot build, or waypoint guidance whose velocity overflows, exits 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from .battery import BatteryModelError, fit_discharge_polynomial
-from .experiments import EXPERIMENT_NAMES, Variant, variants
+from .experiments import EXPERIMENT_NAMES, FlagError, Variant, variants
 from .scenario import ScenarioError, load_scenario_file, render_scenario
 from .trajectory import Trajectory, export_plot_columns, mse, summarize, write_trajectory
 from .world import camera_capture, create_world, run
@@ -38,9 +39,13 @@ class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
 
     def error(self, message):
+        raise SystemExit(self.usage_error(message))
+
+    def usage_error(self, message) -> int:
+        """Print the usage and ``message`` to stderr; return exit code 1."""
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        return EXIT_USAGE
 
 
 def _tick_count(text: str) -> int:
@@ -96,7 +101,7 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--out-dir", default=".", help="output directory")
     p_exp.add_argument("--emit-scenario", action="store_true",
                        help="print the scenario document instead of running")
-    p_exp.set_defaults(handler=_cmd_experiment)
+    p_exp.set_defaults(handler=_cmd_experiment, usage_error=p_exp.usage_error)
 
     p_met = sub.add_parser("metrics", help="compare two trajectory CSVs")
     p_met.add_argument("metric", choices=["mse"])
@@ -141,22 +146,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    selected = variants(
-        args.name,
-        speed=args.speed,
-        initial_charge=args.initial_charge,
-        leg=args.leg,
-        target=args.target,
-        truncate_settle=args.truncate_settle,
-    )
+    try:
+        selected = variants(
+            args.name, speed=args.speed, initial_charge=args.initial_charge, leg=args.leg,
+            target=args.target, truncate_settle=args.truncate_settle,
+        )
+    except FlagError as exc:
+        return args.usage_error(str(exc))
     if args.emit_scenario:
         if len(selected) != 1:
-            print(
-                "error: --emit-scenario needs a single variant; "
-                "narrow the selection with --speed/--leg/--target/--initial-charge",
-                file=sys.stderr,
+            return args.usage_error(
+                "--emit-scenario needs a single variant; "
+                "narrow the selection with --speed/--leg/--target/--initial-charge"
             )
-            return EXIT_USAGE
         sys.stdout.write(render_scenario(selected[0].scenario))
         return EXIT_OK
     for variant in selected:

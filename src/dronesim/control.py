@@ -266,17 +266,22 @@ def resolve_position_target(state: DroneState, cmd: Command) -> tuple[Vec3, floa
     return target, target_yaw
 
 
+def next_pose(x, y, z, yaw, velocity: Vec3, yaw_rate: float, dt: float):
+    """Semi-implicit Euler step of a pose: the new velocity moves the new
+    position. Returns (x, y, z, yaw) with yaw wrapped to (-180, 180] and
+    nothing clamped, not even at the ground."""
+    vx, vy, vz = velocity
+    return x + vx * dt, y + vy * dt, z + vz * dt, wrap_deg(yaw + yaw_rate * dt)
+
+
 def integrate(state: DroneState, new_velocity: Vec3, new_yaw_rate: float, dt: float) -> DroneState:
     """Semi-implicit Euler step: the new velocity moves the new position.
 
     Yaw wraps to (-180, 180]; altitude is floored at the ground (z >= 0).
     """
-    x = state.position[0] + new_velocity[0] * dt
-    y = state.position[1] + new_velocity[1] * dt
-    z = state.position[2] + new_velocity[2] * dt
+    x, y, z, yaw = next_pose(*state.position, state.yaw, new_velocity, new_yaw_rate, dt)
     if z < 0.0:
         z = 0.0
-    yaw = wrap_deg(state.yaw + new_yaw_rate * dt)
     return DroneState((x, y, z), yaw, new_velocity, new_yaw_rate, state.charge)
 
 

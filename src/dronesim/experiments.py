@@ -38,6 +38,11 @@ BATTERY_CHARGES = (0.25, 0.5, 0.75, 1.0)
 CALIBRATION_DEPTH = 2.0
 CALIBRATION_OFFSET = 0.9326
 
+
+class FlagError(ValueError):
+    """A flag given to an experiment that does not take it."""
+
+
 class Variant(NamedTuple):
     scenario: Scenario
     params: dict
@@ -272,7 +277,8 @@ def variants(
     target: Optional[float] = None,
     truncate_settle: bool = False,
 ) -> list[Variant]:
-    """All scenario variants selected by an experiment name and its flags."""
+    """All scenario variants selected by an experiment name and its flags;
+    a flag the experiment does not take (see ``_EXPERIMENTS``) raises FlagError."""
     try:
         build, flag, defaults, settles = _EXPERIMENTS[name]
     except KeyError:
@@ -280,10 +286,12 @@ def variants(
             f"unknown experiment {name!r}; valid names: "
             + ", ".join(EXPERIMENT_NAMES)
         ) from None
-    chosen = {
-        "speed": speed, "initial_charge": initial_charge, "leg": leg, "target": target,
-    }.get(flag)
-    values = defaults if chosen is None else (chosen,)
+    given = {"speed": speed, "initial_charge": initial_charge, "leg": leg, "target": target,
+             "truncate_settle": truncate_settle or None}
+    for key, value in given.items():
+        if value is not None and key not in (flag, "truncate_settle" if settles else None):
+            raise FlagError(f"argument --{key.replace('_', '-')}: not taken by experiment {name}")
+    values = defaults if given.get(flag) is None else (given[flag],)
     if not settles:
         return [build(value) for value in values]
     settle = TRUNCATED_SETTLE_S if truncate_settle else SETTLE_S

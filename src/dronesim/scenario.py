@@ -41,7 +41,8 @@ class ScenarioError(ValueError):
 
 
 class ConfigurationError(ScenarioError):
-    """A scenario no world can be built from: a drone starts outside the arena."""
+    """A scenario that cannot be simulated: a drone starts outside the
+    arena, or a waypoint speed overflows its guidance velocity."""
 
 
 class LightSpec(Value):

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .camera import Detection, detect_sources
 from .control import (
@@ -45,6 +45,7 @@ from .control import (
     VELOCITY,
     WORLD,
     drone_control_step,
+    next_pose,
     resolve_position_target,
 )
 from .geometry import Vec3, clamp, is_finite3, wrap_deg
@@ -55,12 +56,6 @@ from .trajectory import Trajectory, TrajectoryRow
 
 class CapabilityError(ValueError):
     """The drone lacks the sensor required by the operation."""
-
-
-class Light(NamedTuple):
-    id: str
-    position: Vec3
-    color: tuple[int, int, int]
 
 
 class _Drone:
@@ -82,7 +77,7 @@ class _Drone:
         self.yaw = wrap_deg(spec.yaw)
         self.vx = self.vy = self.vz = 0.0
         self.yaw_rate = 0.0
-        self.charge = spec.charge
+        self.charge = spec.charge  # a depleted start reports it until the first advance
         self.command: Command = HOVER
         self.target: Optional[tuple[Vec3, float]] = None
         self.memory = ControllerMemory()
@@ -93,8 +88,6 @@ class _Drone:
         else:
             self.battery_t = spec.battery.invert_charge(spec.charge)
             self.depleted = self.battery_t >= spec.battery.t_max
-            if self.depleted:
-                self.charge = spec.charge  # reported until the first advance
         self.led_color = spec.led_color
         self.led_on = spec.led_on
         self.led_staged_color = spec.led_color
@@ -129,7 +122,8 @@ class _Drone:
             (self.vx, self.vy, self.vz), self.yaw_rate, self.charge,
         )
 
-    def copy(self, world: "World") -> "_Drone":
+    def copy(self) -> "_Drone":
+        """A copy for the next world, which sets ``world``; no sensing yet."""
         other = _Drone.__new__(_Drone)
         other.spec = self.spec
         other.x, other.y, other.z = self.x, self.y, self.z
@@ -149,7 +143,6 @@ class _Drone:
         other.outbox = list(self.outbox)
         other.script_idx = self.script_idx
         other.waypoint_idx = self.waypoint_idx
-        other.world = world
         other._inbox = other._detections = None
         return other
 
@@ -171,9 +164,7 @@ class World:
         self.dt = scenario.dt
         self.drones = drones
         self.index = {d.spec.id: d for d in drones}
-        self.lights = tuple(
-            Light(l.id, l.position, l.color) for l in scenario.lights
-        )
+        self.lights = tuple(scenario.lights)
         self.rng = rng
         # This tick's messages, one (position, id, range_m, payloads) entry
         # per sender in id order; None until the first tick.
@@ -186,18 +177,12 @@ class World:
         return self.tick * self.dt
 
     def copy(self) -> "World":
-        clone = World.__new__(World)
-        clone.scenario = self.scenario
-        clone.tick = self.tick
-        clone.dt = self.dt
-        clone.drones = [d.copy(clone) for d in self.drones]
-        clone.index = {d.spec.id: d for d in clone.drones}
-        clone.lights = self.lights
-        clone.deliveries = self.deliveries
-        clone.rng = None
+        rng = None
         if self.rng is not None:
-            clone.rng = random.Random()
-            clone.rng.setstate(self.rng.getstate())
+            rng = random.Random()
+            rng.setstate(self.rng.getstate())
+        clone = World(self.scenario, [d.copy() for d in self.drones], self.tick, rng)
+        clone.deliveries = self.deliveries
         return clone
 
     def drone(self, drone_id: str) -> _Drone:
@@ -373,12 +358,10 @@ def _advance(world: World) -> None:
     gauss = None if world.rng is None else world.rng.gauss
     std = scenario.noise_position_std
     for drone, (velocity, yaw_rate) in zip(world.drones, new_motion):
-        vx, vy, vz = velocity
-        drone.vx, drone.vy, drone.vz = vx, vy, vz
+        drone.vx, drone.vy, drone.vz = velocity
         drone.yaw_rate = yaw_rate
-        x = drone.x + vx * dt
-        y = drone.y + vy * dt
-        z = drone.z + vz * dt
+        x, y, z, drone.yaw = next_pose(drone.x, drone.y, drone.z, drone.yaw,
+                                       velocity, yaw_rate, dt)
         if gauss is not None:
             x += gauss(0.0, std)
             y += gauss(0.0, std)
@@ -387,7 +370,6 @@ def _advance(world: World) -> None:
         drone.y = clamp(y, lo[1], hi[1])
         z = clamp(z, lo[2], hi[2])
         drone.z = z if z > 0.0 else 0.0
-        drone.yaw = wrap_deg(drone.yaw + yaw_rate * dt)
 
     # Phase 3: battery discharge; depletion grounds the drone immediately.
     for drone in world.drones:
@@ -431,18 +413,11 @@ def _apply_script(scenario: Scenario, drone: _Drone, tick: int) -> None:
     if not entries:
         return
     idx = drone.script_idx
-    changed = False
     while idx < len(entries) and entries[idx][0] <= tick:
-        drone.command = entries[idx][1]
         idx += 1
-        changed = True
-    if changed:
+    if idx != drone.script_idx:
         drone.script_idx = idx
-        drone.memory = ControllerMemory()
-        if drone.command.kind == POSITION:
-            drone.target = resolve_position_target(drone.state(), drone.command)
-        else:
-            drone.target = None
+        _switch(drone, entries[idx - 1][1])
 
 
 def _apply_waypoints(scenario: Scenario, drone: _Drone) -> None:
@@ -461,12 +436,11 @@ def _apply_waypoints(scenario: Scenario, drone: _Drone) -> None:
     if dist <= plan.threshold:
         idx += 1
         drone.waypoint_idx = idx
-        drone.memory = ControllerMemory()
         if idx >= len(points):
             # Park: hold position at the final waypoint, keep current yaw.
-            drone.command = Command.position((wx, wy, wz), drone.yaw)
-            drone.target = ((wx, wy, wz), drone.yaw)
+            _switch(drone, Command.position((wx, wy, wz), drone.yaw))
             return
+        drone.memory = ControllerMemory()
         wx, wy, wz = points[idx]
         dx = wx - drone.x
         dy = wy - drone.y
@@ -477,10 +451,20 @@ def _apply_waypoints(scenario: Scenario, drone: _Drone) -> None:
     else:
         s = plan.speed / dist
         linear = (dx * s, dy * s, dz * s)
-        if is_finite3(linear):
-            # The usual case skips Command's checks, which could only reject
-            # an overflow of speed / dist; that still raises, as it did.
-            drone.command = Command._unchecked(VELOCITY, WORLD, linear, 0.0)
-        else:
-            drone.command = Command.velocity(linear)
+        if not is_finite3(linear):
+            raise ConfigurationError(
+                "the guidance velocity speed / distance is not finite",
+                f"[waypoints {drone.spec.id}] speed",
+            )
+        drone.command = Command._unchecked(VELOCITY, WORLD, linear, 0.0)
     drone.target = None
+
+
+def _switch(drone: _Drone, command: Command) -> None:
+    """Fly ``command`` from now on: fresh controller memory, and a position
+    target resolved to the world frame once, as it activates."""
+    drone.command = command
+    drone.memory = ControllerMemory()
+    drone.target = None
+    if command.kind == POSITION:
+        drone.target = resolve_position_target(drone.state(), command)

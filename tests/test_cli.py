@@ -83,6 +83,19 @@ class TestRun:
         assert code == 2
         assert "[waypoints cf1] speed" in err
 
+    def test_overflowing_waypoint_guidance_exits_2(self, tmp_path, capsys):
+        # speed / distance overflows to inf: this ended in a ValueError
+        # traceback from the guidance command (exit 1).
+        doc = tmp_path / "overflow.scn"
+        doc.write_text(
+            (SCENARIOS / "hover.scn").read_text() + "\n[waypoints cf1]\n"
+            "speed = 1e300\nthreshold = 1e-15\npoints =\n    0 0 1.000000000001\n"
+        )
+        code, out, err = run_cli(["run", doc, "--out", tmp_path], capsys)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: [waypoints cf1] speed: ") and "finite" in line
+
     def test_corrupt_scenario_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text("[scenario]\nname = x\nduration = 1\noops no equals\n")
@@ -415,12 +428,38 @@ def test_bad_experiment_flag_rejected(argv, code, capsys):
 
 
 # The flag that narrows each experiment to a single variant; camera
-# calibration has one variant and ignores --speed.
+# calibration has one variant and takes no flag, so the fuzz test's --speed
+# is always rejected there (exit 1).
 NARROWING_FLAG = {
     "line2d": "--speed", "line3d": "--speed", "altitude-steps": "--speed",
     "yaw-steps": "--speed", "position-legs": "--leg", "yaw-legs": "--target",
     "battery": "--initial-charge", "camera-calibration": "--speed",
 }
+# The flags each experiment takes, as the README's experiment table lists
+# them; every other experiment flag is foreign to it.
+TAKES = {
+    "line2d": ("--speed",), "line3d": ("--speed",), "altitude-steps": ("--speed",),
+    "yaw-steps": ("--speed",), "position-legs": ("--leg", "--truncate-settle"),
+    "yaw-legs": ("--target", "--truncate-settle"), "battery": ("--initial-charge",),
+    "camera-calibration": (),
+}
+FOREIGN_FLAGS = [
+    (name, flag)
+    for name in EXPERIMENT_NAMES
+    for flag in ("--speed", "--initial-charge", "--leg", "--target", "--truncate-settle")
+    if flag not in TAKES[name]
+]
+
+
+@pytest.mark.parametrize("name,flag", FOREIGN_FLAGS, ids=[" ".join(c) for c in FOREIGN_FLAGS])
+def test_flag_an_experiment_does_not_take_is_rejected(name, flag, capsys):
+    # These were silently ignored: `battery --speed 1` ran all four variants.
+    narrow = [TAKES[name][0], "1"] if TAKES[name] else []
+    foreign = [flag] if flag == "--truncate-settle" else [flag, "1"]
+    code, out, err = run_cli(["experiment", name, *narrow, *foreign, "--emit-scenario"], capsys)
+    assert (code, out) == (1, "")
+    assert "usage:" in err
+    assert f"error: argument {flag}: not taken by experiment {name}" in err
 EDGE_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "5e-324", "1e-320", "1e308", "-1e308"]
 
 

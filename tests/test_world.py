@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dronesim.world as world_mod
+from dronesim.battery import BatteryModel
 from dronesim.camera import CameraConfig, detect_sources
 from dronesim.control import Command
 from dronesim.geometry import wrap_deg
@@ -525,25 +526,31 @@ def test_sensing_matches_eager_oracle(scenario, data):
 
 
 def test_sensing_is_computed_only_when_read(monkeypatch):
-    calls = {"make_reading": 0, "_capture": 0}
+    # The counters wrap the four names that perfbench rebinds to time the
+    # control, battery, rab and camera layers, so each must stay a name
+    # the kernel calls: inlining one would silently zero its layer.
+    calls = dict.fromkeys(("drone_control_step", "charge_at", "make_reading", "_capture"), 0)
 
-    def counted(name):
-        original = getattr(world_mod, name)
+    def count(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    monkeypatch.setattr(world_mod, "make_reading", counted("make_reading"))
-    monkeypatch.setattr(world_mod, "_capture", counted("_capture"))
+    count(world_mod, "drone_control_step")
+    count(BatteryModel, "charge_at")
+    count(world_mod, "make_reading")
+    count(world_mod, "_capture")
     drones = tuple(
         DroneSpec(id=f"cf{i}", position=(0.3 * i - 1.0, 0.0, 1.0), led_on=True,
                   rab_broadcast=b"hi", camera=CameraConfig() if i % 2 else None)
         for i in range(6)
     )
     world, _ = run(create_world(Scenario(name="lazy", duration=0, drones=drones)), 20)
-    assert calls == {"make_reading": 0, "_capture": 0}
+    flown = {"drone_control_step": 6 * 20, "charge_at": 6 * 20}
+    assert calls == {**flown, "make_reading": 0, "_capture": 0}
     for _ in range(2):
         readings = sum(len(world.drone(d.id).inbox) for d in drones)
         for d in drones:
@@ -552,7 +559,37 @@ def test_sensing_is_computed_only_when_read(monkeypatch):
             if d.camera is not None:
                 camera_capture(world, d.id)
     assert readings == 6 * 5
-    assert calls == {"make_reading": 6 * 5, "_capture": 3}
+    assert calls == {**flown, "make_reading": 6 * 5, "_capture": 3}
+
+
+@pytest.mark.parametrize("route", ["World.copy", "step", "run"])
+def test_drone_copy_carries_every_slot(route, monkeypatch):
+    # _Drone.copy lists the slots by hand: deriving it from __slots__ made a
+    # copy about six times slower. A slot it misses fails here.
+    world = create_world(hover_scenario())
+    drone = world.drones[0]
+    fresh = ("world", "_inbox", "_detections")
+    values = {name: object() for name in world_mod._Drone.__slots__
+              if name not in ("spec", "outbox")}
+    for name, value in values.items():
+        setattr(drone, name, value)
+    outbox = drone.outbox = [b"queued"]
+    if route == "World.copy":
+        clone = world.copy()
+    elif route == "step":
+        monkeypatch.setattr(world_mod, "_advance", lambda w: None)
+        clone = step(world)
+    else:
+        clone = run(world, 0)[0]
+    other = clone.drones[0]
+    assert other.spec is drone.spec
+    assert other.outbox == [b"queued"] and other.outbox is not outbox
+    assert other.world is clone and other._inbox is other._detections is None
+    for name, value in values.items():
+        if name not in fresh:
+            assert getattr(other, name) is value, name
+    assert drone.outbox is outbox and all(
+        getattr(drone, name) is value for name, value in values.items())
 
 
 def test_overflowing_guidance_is_rejected_not_simulated():

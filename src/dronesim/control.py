@@ -129,6 +129,11 @@ class DroneState(NamedTuple):
     charge: float = 1.0
 
 
+# NamedTuple construction without the generated ``__new__``, a Python-level
+# call per drone-tick; the fields go in positionally, in their order.
+_new_tuple = tuple.__new__
+
+
 class ControllerMemory(NamedTuple):
     """Previous-tick errors for the derivative terms.
 
@@ -208,9 +213,9 @@ def position_control_step(
         rate_des = kpy * yaw_err
     rate_des = clamp(rate_des, -limits.max_yaw_rate, limits.max_yaw_rate)
 
-    return v_des, rate_des, ControllerMemory(
+    return v_des, rate_des, _new_tuple(ControllerMemory, (
         memory.vel_err, memory.yaw_rate_err, (ex, ey, ez), yaw_err
-    )
+    ))
 
 
 def drone_control_step(
@@ -323,6 +328,6 @@ def _velocity_loop(state, memory, v_des, rate_des, gains, limits, dt):
     else:
         a = pd.kp * rate_err
     a = clamp(a, -limits.max_yaw_accel, limits.max_yaw_accel)
-    return new_velocity, rate + a * dt, ControllerMemory(
+    return new_velocity, rate + a * dt, _new_tuple(ControllerMemory, (
         (ex, ey, ez), rate_err, memory.pos_err, memory.yaw_err
-    )
+    ))

@@ -111,15 +111,15 @@ def summarize(
     peak_speed = 0.0
     peak_rate = 0.0
     depleted_at = None
-    for row in traj.rows:
-        speed = math.sqrt(row.vx * row.vx + row.vy * row.vy + row.vz * row.vz)
+    for _, t, _, _, _, _, vx, vy, vz, rate, charge in traj.rows:
+        speed = math.sqrt(vx * vx + vy * vy + vz * vz)
         if speed > peak_speed:
             peak_speed = speed
-        rate = abs(row.yaw_rate_deg_s)
+        rate = abs(rate)
         if rate > peak_rate:
             peak_rate = rate
-        if depleted_at is None and row.charge == 0.0:
-            depleted_at = row.time_s
+        if depleted_at is None and charge == 0.0:
+            depleted_at = t
     last = traj.rows[-1]
     pos_err = None
     if target is not None:

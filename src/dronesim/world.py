@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
 from typing import Optional
 
 from .camera import Detection, detect_sources
@@ -52,6 +53,12 @@ from .geometry import Vec3, clamp, is_finite3, wrap_deg
 from .rab import PayloadError, RabReading, make_reading
 from .scenario import ConfigurationError, DroneSpec, Scenario, is_color  # noqa: F401 (re-exported)
 from .trajectory import Trajectory, TrajectoryRow
+
+# NamedTuple construction without the generated ``__new__``, a Python-level
+# call per row or state; the fields go in positionally, in their order.
+_new_tuple = tuple.__new__
+_cos, _log, _sin, _sqrt = math.cos, math.log, math.sin, math.sqrt
+_TWOPI = 2.0 * math.pi  # random.TWOPI
 
 
 class CapabilityError(ValueError):
@@ -117,10 +124,10 @@ class _Drone:
         return self._detections
 
     def state(self) -> DroneState:
-        return DroneState(
+        return _new_tuple(DroneState, (
             (self.x, self.y, self.z), self.yaw,
             (self.vx, self.vy, self.vz), self.yaw_rate, self.charge,
-        )
+        ))
 
     def copy(self) -> "_Drone":
         """A copy for the next world, which sets ``world``; no sensing yet."""
@@ -179,7 +186,9 @@ class World:
     def copy(self) -> "World":
         rng = None
         if self.rng is not None:
-            rng = random.Random()
+            # No __init__: it seeds from os.urandom, and setstate overwrites
+            # that seed and gauss_next anyway.
+            rng = random.Random.__new__(random.Random)
             rng.setstate(self.rng.getstate())
         clone = World(self.scenario, [d.copy() for d in self.drones], self.tick, rng)
         clone.deliveries = self.deliveries
@@ -233,14 +242,13 @@ def run_scenario(scenario: Scenario, n_ticks: Optional[int] = None):
 
 
 def _record(world: World, trajectories) -> None:
-    t = world.tick * world.dt
+    tick = world.tick
+    t = tick * world.dt
     for d in world.drones:
-        trajectories[d.spec.id].rows.append(
-            TrajectoryRow(
-                world.tick, t, d.x, d.y, d.z, d.yaw,
-                d.vx, d.vy, d.vz, d.yaw_rate, d.charge,
-            )
-        )
+        trajectories[d.spec.id].rows.append(_new_tuple(TrajectoryRow, (
+            tick, t, d.x, d.y, d.z, d.yaw,
+            d.vx, d.vy, d.vz, d.yaw_rate, d.charge,
+        )))
 
 
 # --------------------------------------------------------------------------
@@ -353,19 +361,24 @@ def _advance(world: World) -> None:
         new_motion.append((velocity, yaw_rate))
 
     # Phase 2: kinematics (semi-implicit Euler) + arena clamp + noise hook.
+    # Jitter is x, y, z per drone in registry order, grounded drones too.
     lo = scenario.arena_min
     hi = scenario.arena_max
-    gauss = None if world.rng is None else world.rng.gauss
-    std = scenario.noise_position_std
-    for drone, (velocity, yaw_rate) in zip(world.drones, new_motion):
+    if world.rng is None:
+        jitter = repeat(None)
+    else:
+        draws = iter(_gauss_batch(
+            world.rng, scenario.noise_position_std, 3 * len(world.drones)))
+        jitter = zip(draws, draws, draws)
+    for drone, (velocity, yaw_rate), offset in zip(world.drones, new_motion, jitter):
         drone.vx, drone.vy, drone.vz = velocity
         drone.yaw_rate = yaw_rate
         x, y, z, drone.yaw = next_pose(drone.x, drone.y, drone.z, drone.yaw,
                                        velocity, yaw_rate, dt)
-        if gauss is not None:
-            x += gauss(0.0, std)
-            y += gauss(0.0, std)
-            z += gauss(0.0, std)
+        if offset is not None:
+            x += offset[0]
+            y += offset[1]
+            z += offset[2]
         drone.x = clamp(x, lo[0], hi[0])
         drone.y = clamp(y, lo[1], hi[1])
         z = clamp(z, lo[2], hi[2])
@@ -406,6 +419,38 @@ def _advance(world: World) -> None:
     # Phase 5: sensors -- nothing to do; see _Drone.inbox and .detections.
 
     world.tick = tick + 1
+
+
+def _gauss_batch(rng: random.Random, std: float, n: int) -> list[float]:
+    """What ``n`` successive ``rng.gauss(0.0, std)`` calls return, bit for
+    bit, leaving ``rng`` in the same state (``getstate()`` included).
+
+    ``Random.gauss`` is Python code, one call per value; this is its
+    algorithm (CPython 3.11) inlined: a pending ``gauss_next`` first, then
+    Box-Muller pairs from ``rng.random``, the cosine value before the sine
+    value, and an unused sine value kept in ``gauss_next``.
+    """
+    draws = []
+    if n <= 0:
+        return draws
+    append = draws.append
+    z = rng.gauss_next
+    if z is not None:
+        rng.gauss_next = None
+        append(0.0 + z * std)
+        n -= 1
+    uniform = rng.random
+    for _ in range(n >> 1):
+        x2pi = uniform() * _TWOPI
+        g2rad = _sqrt(-2.0 * _log(1.0 - uniform()))
+        append(0.0 + _cos(x2pi) * g2rad * std)
+        append(0.0 + _sin(x2pi) * g2rad * std)
+    if n & 1:
+        x2pi = uniform() * _TWOPI
+        g2rad = _sqrt(-2.0 * _log(1.0 - uniform()))
+        append(0.0 + _cos(x2pi) * g2rad * std)
+        rng.gauss_next = _sin(x2pi) * g2rad
+    return draws
 
 
 def _apply_script(scenario: Scenario, drone: _Drone, tick: int) -> None:

@@ -1,4 +1,6 @@
 import math
+import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -603,3 +605,81 @@ def test_overflowing_guidance_is_rejected_not_simulated():
     )
     with pytest.raises(ValueError, match="finite"):
         run_scenario(scenario)
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64),
+    std=st.sampled_from([0.002, 1.0, 0.1 + 1e-17, 3e-300, 7e300, -0.5, 0.0]),
+    pending=st.booleans(),
+    counts=st.lists(st.integers(min_value=0, max_value=9), max_size=8),
+)
+def test_gauss_batch_matches_gauss(seed, std, pending, counts):
+    # The batch is a copy of Random.gauss: same value bits and the same
+    # generator state (gauss_next included) after every call.
+    batch_rng = random.Random(seed)
+    call_rng = random.Random(seed)
+    if pending:
+        assert _bits([batch_rng.gauss(0.0, std)]) == _bits([call_rng.gauss(0.0, std)])
+    for n in [0, 1, 2, 3] + counts + [300, 301]:
+        batch = world_mod._gauss_batch(batch_rng, std, n)
+        calls = [call_rng.gauss(0.0, std) for _ in range(n)]
+        assert _bits(batch) == _bits(calls), n
+        assert batch_rng.getstate() == call_rng.getstate(), n
+
+
+def test_jitter_is_one_gauss_stream_in_registry_order():
+    # Three gauss(0, std) draws per drone and tick (x, y, z, registry
+    # order, grounded drones too) from one Random(noise_seed). Hovering
+    # drones stand still, so each pose is its start plus its draws.
+    std = 0.001
+    scenario = Scenario(
+        name="jitter", duration=20, noise_seed=11, noise_position_std=std,
+        drones=(
+            DroneSpec(id="b", position=(0.5, -0.5, 1.0)),
+            DroneSpec(id="a", position=(-0.5, 0.5, 2.0), charge=0.0),
+            DroneSpec(id="c", position=(0.0, 0.0, 1.5)),
+        ),
+    )
+    _, trajs = run_scenario(scenario)
+    stream = random.Random(11)
+    poses = [list(d.position) for d in scenario.drones]
+    for k in range(1, 21):
+        for drone, pose in zip(scenario.drones, poses):
+            for axis in range(3):
+                pose[axis] += stream.gauss(0.0, std)
+            row = trajs[drone.id].rows[k]
+            z = 0.0 if drone.charge == 0.0 else pose[2]
+            assert (row.x, row.y, row.z) == (pose[0], pose[1], z), (drone.id, k)
+
+
+def test_step_with_jitter_matches_run_without_reseeding(monkeypatch):
+    # Three drones draw nine values per tick, so every other tick ends
+    # with a gauss_next carried into the next one, through World.copy.
+    scenario = Scenario(
+        name="steps", duration=30, noise_seed=5, noise_position_std=0.01,
+        drones=tuple(
+            DroneSpec(id=f"cf{i}", position=(0.3 * i - 0.3, 0.0, 1.0)) for i in range(3)
+        ),
+        scripts={"cf1": ((0, Command.velocity((0.2, 0.1, 0.0), yaw_rate=15.0)),)},
+    )
+    world = create_world(scenario)
+    final, trajs = run(world, 30)
+
+    def no_seeding(*args, **kwargs):
+        raise AssertionError("the world's generator was re-seeded")
+
+    monkeypatch.setattr(random.Random, "seed", no_seeding)
+    for k in range(1, 31):
+        world = step(world)
+        for drone in world.drones:
+            row = trajs[drone.spec.id].rows[k]
+            assert (world.tick, *drone.state()) == (
+                row.tick, (row.x, row.y, row.z), row.yaw_deg,
+                (row.vx, row.vy, row.vz), row.yaw_rate_deg_s, row.charge)
+        assert (world.rng.gauss_next is None) == (k % 2 == 0), k
+    assert world.rng.getstate() == final.rng.getstate()

@@ -12,7 +12,8 @@ unconditionally robust) and evaluating P(t + dt * load_factor).
 The default coefficients are the solution of the 4x4 linear system
 P(0) = 1.0, P(t_max) = 0.30, P'(0) = -0.0030, P'(t_max) = -0.0050 with
 t_max = 427.21 s, solved once and embedded below; the constructor verifies
-monotonicity numerically.
+monotonicity numerically (``STOCK_MODEL``, the stock curve, is built once
+without that check).
 """
 
 from __future__ import annotations
@@ -103,6 +104,13 @@ class BatteryModel(Value):
             if hi - lo <= ROOT_TOL:
                 break
         return 0.5 * (lo + hi)
+
+
+# The stock curve, built once and unchecked: it passes _validate (the tests
+# pin it against a validated BatteryModel()), so importing it costs no
+# 1000-sample monotonicity scan.
+STOCK_MODEL = BatteryModel._unchecked(DEFAULT_COEFFS, DEFAULT_T_MAX, None, 1.0)
+object.__setattr__(STOCK_MODEL, "cutoff_charge", STOCK_MODEL.poly(DEFAULT_T_MAX))
 
 
 def battery_next_charge(model: BatteryModel, current_charge: float, dt: float) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .battery import BatteryModel, battery_time_to_empty
+from .battery import STOCK_MODEL, battery_time_to_empty
 from .camera import CameraConfig
 from .control import Command
 from .geometry import Vec3
@@ -204,7 +204,7 @@ def build_yaw_leg(target_yaw: float, settle_s: float = SETTLE_S) -> Variant:
 
 def build_battery(initial_charge: float) -> Variant:
     """Hover from the given initial charge until the battery empties."""
-    expected = battery_time_to_empty(BatteryModel(), initial_charge)
+    expected = battery_time_to_empty(STOCK_MODEL, initial_charge)
     scenario = Scenario(
         name=_sname("battery_c", initial_charge),
         dt=DT,

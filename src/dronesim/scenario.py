@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
 from ._value import Value
-from .battery import BatteryModel
+from .battery import STOCK_MODEL
 from .camera import CameraConfig
 from .control import BODY, WORLD, Command, ControllerLimits, GainSet
 from .geometry import is_finite3
@@ -76,7 +76,7 @@ class DroneSpec(Value):
         "rab_broadcast": None,
         "led_color": (255, 255, 255),
         "led_on": False,
-        "battery": BatteryModel(),
+        "battery": STOCK_MODEL,
     }
 
 
@@ -134,32 +134,34 @@ def validate_scenario(s: Scenario) -> None:
     if len(set(ids)) != len(ids):
         raise ScenarioError("duplicate drone id", "[scenario] drones")
     known = set(ids)
+    (lo_x, lo_y, lo_z), (hi_x, hi_y, hi_z) = s.arena_min, s.arena_max
     for d in s.drones:
-        loc = f"[drone {d.id}]"
         if not _NAME_RE.match(d.id):
-            raise ScenarioError("bad drone id", f"{loc} id")
+            raise ScenarioError("bad drone id", f"[drone {d.id}] id")
         if not is_finite3(d.position):
-            raise ScenarioError("position must be finite", f"{loc} position")
-        inside = zip(s.arena_min, d.position, s.arena_max)
-        if not all(lo <= p <= hi for lo, p, hi in inside):
-            raise ConfigurationError("initial position outside arena", f"{loc} position")
+            raise ScenarioError("position must be finite", f"[drone {d.id}] position")
+        x, y, z = d.position
+        if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y and lo_z <= z <= hi_z):
+            raise ConfigurationError("initial position outside arena",
+                                     f"[drone {d.id}] position")
         if not math.isfinite(d.yaw):
-            raise ScenarioError("yaw must be finite", f"{loc} yaw")
+            raise ScenarioError("yaw must be finite", f"[drone {d.id}] yaw")
         if not 0.0 <= d.charge <= 1.0:
-            raise ScenarioError("charge must be in [0, 1]", f"{loc} charge")
+            raise ScenarioError("charge must be in [0, 1]", f"[drone {d.id}] charge")
         if d.rab_broadcast is not None and len(d.rab_broadcast) > d.rab.payload_max:
             raise ScenarioError(
                 f"broadcast payload exceeds payload_max {d.rab.payload_max}",
-                f"{loc} rab_broadcast",
+                f"[drone {d.id}] rab_broadcast",
             )
-        _check_color(d.led_color, f"{loc} led_color")
+        if not is_color(d.led_color):
+            raise ScenarioError(_BAD_COLOR, f"[drone {d.id}] led_color")
     for light in s.lights:
-        loc = f"[light {light.id}]"
         if not _NAME_RE.match(light.id):
-            raise ScenarioError("bad light id", f"{loc} id")
+            raise ScenarioError("bad light id", f"[light {light.id}] id")
         if not is_finite3(light.position):
-            raise ScenarioError("position must be finite", f"{loc} position")
-        _check_color(light.color, f"{loc} color")
+            raise ScenarioError("position must be finite", f"[light {light.id}] position")
+        if not is_color(light.color):
+            raise ScenarioError(_BAD_COLOR, f"[light {light.id}] color")
     light_ids = [l.id for l in s.lights]
     if len(set(light_ids)) != len(light_ids):
         raise ScenarioError("duplicate light id", "[scenario] lights")
@@ -204,9 +206,7 @@ def is_color(color) -> bool:
     )
 
 
-def _check_color(color, location):
-    if not is_color(color):
-        raise ScenarioError("color must be three integers in [0, 255]", location)
+_BAD_COLOR = "color must be three integers in [0, 255]"
 
 
 # --------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def _parse_numbers(text: str, count: int, wrong_count: str, convert=float) -> tu
     if len(parts) != count:
         raise ValueError(wrong_count)
     try:
-        return tuple(convert(p) for p in parts)
+        return tuple(map(convert, parts))
     except ValueError:
         noun = "an integer" if convert is int else "a number"
         raise ValueError(f"not {noun} in {text!r}") from None
@@ -383,6 +383,13 @@ _SECTIONS = {
         _Field("points", _POINTS, None, "points", _REQUIRED),
     ),
 }
+# Each table's keys, which tell a section's unknown keys.
+_SCENARIO_KEYS = frozenset(f.key for f in _SCENARIO_FIELDS)
+_SECTION_KEYS = {kind: frozenset(f.key for f in fields) for kind, fields in _SECTIONS.items()}
+# The drone keys of each group, in table order.
+_GROUP_KEYS = {
+    group: tuple(f.key for f in _SECTIONS["drone"] if f.group == group) for group in _GROUPS
+}
 
 
 # --------------------------------------------------------------------------
@@ -390,42 +397,19 @@ _SECTIONS = {
 
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
-    import configparser  # on first use: most CLI commands load no document
-
-    parser = configparser.ConfigParser(
-        interpolation=None, strict=True, delimiters=("=",)
-    )
-    parser.optionxform = str
-    try:
-        parser.read_string(text)
-    except configparser.MissingSectionHeaderError as exc:
-        raise ScenarioError(f"syntax error: {exc.message.splitlines()[0]}",
-                            f"line {exc.lineno}") from exc
-    except configparser.ParsingError as exc:
-        lineno = exc.errors[0][0] if getattr(exc, "errors", None) else "?"
-        raise ScenarioError("syntax error", f"line {lineno}") from exc
-    except configparser.DuplicateSectionError as exc:
-        raise ScenarioError(f"duplicate section [{exc.section}]",
-                            f"line {exc.lineno}") from exc
-    except configparser.DuplicateOptionError as exc:
-        raise ScenarioError(f"duplicate key {exc.option!r}",
-                            f"line {exc.lineno}") from exc
-    except configparser.Error as exc:
-        raise ScenarioError(f"syntax error: {exc}") from exc
-
-    if not parser.has_section("scenario"):
+    sections = _read_sections(text)
+    raw = sections.pop("scenario", None)
+    if raw is None:
         raise ScenarioError("missing [scenario] section", "[scenario]")
-    raw = dict(parser.items("scenario"))
-    world = _read_section("[scenario]", raw, _SCENARIO_FIELDS).pop(None, {})
+    world = _read_section("[scenario]", raw, _SCENARIO_FIELDS, _SCENARIO_KEYS).pop(None, {})
     world.pop("format_version", None)  # its codec has checked it
 
     drones: list[DroneSpec] = []
     lights: list[LightSpec] = []
     scripts: dict[str, tuple] = {}
     waypoints: dict[str, WaypointPlan] = {}
-    for section in parser.sections():
-        if section == "scenario":
-            continue
+    shared: dict = {}  # the drones' group objects, one per distinct text
+    for section, raw in sections.items():
         kind, _, ident = section.partition(" ")
         ident = ident.strip()
         location = f"[{section}]"
@@ -433,10 +417,10 @@ def load_scenario(text: str) -> Scenario:
             raise ScenarioError(f"section [{section}] needs a name", location)
         if kind not in _SECTIONS:
             raise ScenarioError(f"unknown section kind {kind!r}", location)
-        values = _read_section(location, dict(parser.items(section)), _SECTIONS[kind])
+        values = _read_section(location, raw, _SECTIONS[kind], _SECTION_KEYS[kind])
         spec = values.pop(None, {})
         if kind == "drone":
-            drones.append(_build_drone(location, ident, spec, values))
+            drones.append(_build_drone(location, ident, spec, values, raw, shared))
         elif kind == "light":
             lights.append(LightSpec(id=ident, **spec))
         elif kind == "script":
@@ -453,8 +437,99 @@ def load_scenario_file(path) -> Scenario:
         return load_scenario(fh.read())
 
 
-def _read_section(location: str, raw: dict, fields) -> dict:
-    """Parse one section by its field table into {group: {attribute: value}}."""
+def _read_sections(text: str) -> dict:
+    """The document as {section: {key: value}}, with the keys of
+    ``[DEFAULT]`` in every section.
+
+    This is what ``configparser.ConfigParser(interpolation=None,
+    strict=True, delimiters=("=",))`` with ``optionxform = str`` reads, and
+    its errors are reported as ScenarioErrors at their line:
+
+    * lines end at ``\\n`` only, and are read with surrounding whitespace
+      (``str.strip``) removed;
+    * a blank line is kept as an empty line of the value being read, and a
+      comment line (first character ``#`` or ``;``) is skipped;
+    * a line indented deeper than the last line that was not a
+      continuation continues the value of the section's last key;
+    * else a line starting with ``[`` and holding a ``]`` after at least
+      one character is a section header, named up to its last ``]``
+      (configparser's ``SECTCRE``; text after that is ignored);
+    * else, once a section is open, a line with an ``=`` is ``key = value``,
+      split at its first ``=`` (``OPTCRE``); a value is its lines joined with
+      ``\\n``, trailing empty lines dropped;
+    * a repeated section or key raises at once; any other malformed line
+      (no ``=``, or an empty key) raises once the document is read, at the
+      first such line.
+    """
+    sections: dict = {}
+    defaults: dict = {}
+    section = None    # the {key: value} being filled; None before a header
+    key = None        # its last key, which deeper-indented lines continue
+    lines = None      # that key's value lines, once it has a continuation
+    blanks = 0        # blank lines since that key's last line
+    indent = 0        # indentation of the last line that was not a continuation
+    continued = []    # (section, key, lines) of every multi-line value
+    bad = 0           # the first malformed line
+    lineno = 0
+    for line in text.split("\n"):
+        lineno += 1
+        value = line.strip()
+        if not value:
+            blanks += 1
+            continue
+        first = value[0]
+        if first == "#" or first == ";":
+            continue
+        depth = 0 if line[0] == first else len(line) - len(line.lstrip())
+        if key and depth > indent:
+            if lines is None:
+                lines = [section[key]]
+                continued.append((section, key, lines))
+            if blanks:
+                lines.extend([""] * blanks)
+            lines.append(value)
+            blanks = 0
+            continue
+        indent = depth
+        if first == "[":
+            end = value.rfind("]")
+            if end > 1:
+                name = value[1:end]
+                if name in sections:
+                    raise ScenarioError(f"duplicate section [{name}]", f"line {lineno}")
+                if name == "DEFAULT":
+                    section = defaults
+                else:
+                    section = sections[name] = {}
+                key = None
+                continue
+        if section is None:
+            raise ScenarioError("syntax error: File contains no section headers.",
+                                f"line {lineno}")
+        equals = value.find("=")
+        if equals < 0:
+            bad = bad or lineno
+            continue
+        key = value[:equals].rstrip()
+        if not key:
+            bad = bad or lineno
+        if key in section:
+            raise ScenarioError(f"duplicate key {key!r}", f"line {lineno}")
+        section[key] = value[equals + 1:].lstrip()
+        lines = None
+        blanks = 0
+    if bad:
+        raise ScenarioError("syntax error", f"line {bad}")
+    for section, key, lines in continued:
+        section[key] = "\n".join(lines)
+    if defaults:
+        return {name: {**defaults, **values} for name, values in sections.items()}
+    return sections
+
+
+def _read_section(location: str, raw: dict, fields, keys: frozenset) -> dict:
+    """Parse one section by its field table into {group: {attribute: value}};
+    ``keys`` are the table's keys."""
     values: dict = {}
     for f in fields:
         text = raw.get(f.key)
@@ -465,34 +540,39 @@ def _read_section(location: str, raw: dict, fields) -> dict:
         try:
             if f.codec.block:
                 lines = (line.strip() for line in text.splitlines())
-                value = tuple(f.codec.parse(line) for line in lines if line)
+                value = tuple([f.codec.parse(line) for line in lines if line])
             else:
                 value = f.codec.parse(text)
         except ValueError as exc:
             raise ScenarioError(str(exc), f"{location} {f.key}") from exc
         values.setdefault(f.group, {})[f.attr] = value
-    unknown = sorted(set(raw).difference(f.key for f in fields))
-    if unknown:
-        raise ScenarioError("unknown key", f"{location} {unknown[0]}")
+    if not keys.issuperset(raw):
+        raise ScenarioError("unknown key", f"{location} {min(raw.keys() - keys)}")
     return values
 
 
-def _build_drone(location: str, ident: str, spec: dict, groups: dict) -> DroneSpec:
-    """A drone spec; a group with no key set keeps the stock default."""
+def _build_drone(location: str, ident: str, spec: dict, groups: dict, raw: dict,
+                 shared: dict) -> DroneSpec:
+    """A drone spec; a group with no key set keeps the stock default. Group
+    objects are immutable, so drones whose group keys have the same text
+    share one from ``shared``."""
     if spec.pop("camera", False):
         groups.setdefault("camera", {})
     elif "camera" in groups:
         raise ScenarioError("camera keys set but camera is off", f"{location} camera")
     for group, values in groups.items():
-        stock, where = _GROUPS[group]
-        if group == "battery":
-            # An unset cutoff is derived from the curve, not kept from the stock.
-            values.setdefault("cutoff_charge", None)
-        try:
-            built = stock._replace(**values)
-        except ValueError as exc:
-            where = where or next(f.key for f in _SECTIONS["drone"] if f.group == group)
-            raise ScenarioError(str(exc), f"{location} {where}") from exc
+        text = (group, *map(raw.get, _GROUP_KEYS[group]))
+        built = shared.get(text)
+        if built is None:
+            stock, where = _GROUPS[group]
+            if group == "battery":
+                # An unset cutoff is derived from the curve, not kept from the stock.
+                values.setdefault("cutoff_charge", None)
+            try:
+                built = shared[text] = stock._replace(**values)
+            except ValueError as exc:
+                where = where or _GROUP_KEYS[group][0]
+                raise ScenarioError(str(exc), f"{location} {where}") from exc
         holder, _, loop = group.partition(".")
         if loop:
             built = spec.get(holder, _STOCK["gains"])._replace(**{loop: built})

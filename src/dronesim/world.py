@@ -49,7 +49,7 @@ from .control import (
     next_pose,
     resolve_position_target,
 )
-from .geometry import Vec3, clamp, is_finite3, wrap_deg
+from .geometry import Vec3, is_finite3, wrap_deg
 from .rab import PayloadError, RabReading, make_reading
 from .scenario import ConfigurationError, DroneSpec, Scenario, is_color  # noqa: F401 (re-exported)
 from .trajectory import Trajectory, TrajectoryRow
@@ -211,6 +211,7 @@ def create_world(scenario: Scenario) -> World:
 
 def step(world: World) -> World:
     """Advance one tick. Pure: returns a new world, the input is unchanged."""
+    _check_time(world, 1)
     clone = world.copy()
     _advance(clone)
     return clone
@@ -224,6 +225,7 @@ def run(world: World, n_ticks: int):
     """
     if n_ticks < 0:
         raise ValueError("n_ticks must be >= 0")
+    _check_time(world, n_ticks)
     current = world.copy()
     trajectories = {
         d.spec.id: Trajectory(d.spec.id, []) for d in current.drones
@@ -239,6 +241,17 @@ def run_scenario(scenario: Scenario, n_ticks: Optional[int] = None):
     """create_world + run for the scenario duration (or an override)."""
     world = create_world(scenario)
     return run(world, scenario.duration if n_ticks is None else n_ticks)
+
+
+def _check_time(world: World, n_ticks: int) -> None:
+    """Refuse ticks whose time_s, up to (tick + n_ticks) * dt, overflows."""
+    try:
+        end = (world.tick + n_ticks) * world.dt
+    except OverflowError:  # a tick count beyond the float range
+        end = math.inf
+    if end == math.inf:
+        raise ConfigurationError("time tick * dt of the last tick is not finite",
+                                 "[scenario] dt")
 
 
 def _record(world: World, trajectories) -> None:
@@ -362,8 +375,8 @@ def _advance(world: World) -> None:
 
     # Phase 2: kinematics (semi-implicit Euler) + arena clamp + noise hook.
     # Jitter is x, y, z per drone in registry order, grounded drones too.
-    lo = scenario.arena_min
-    hi = scenario.arena_max
+    lo_x, lo_y, lo_z = scenario.arena_min
+    hi_x, hi_y, hi_z = scenario.arena_max
     if world.rng is None:
         jitter = repeat(None)
     else:
@@ -373,15 +386,19 @@ def _advance(world: World) -> None:
     for drone, (velocity, yaw_rate), offset in zip(world.drones, new_motion, jitter):
         drone.vx, drone.vy, drone.vz = velocity
         drone.yaw_rate = yaw_rate
-        x, y, z, drone.yaw = next_pose(drone.x, drone.y, drone.z, drone.yaw,
-                                       velocity, yaw_rate, dt)
+        try:
+            x, y, z, drone.yaw = next_pose(drone.x, drone.y, drone.z, drone.yaw,
+                                           velocity, yaw_rate, dt)
+        except ValueError as exc:  # wrap_deg of an infinite yaw
+            raise _overflow(drone, tick) from exc
         if offset is not None:
             x += offset[0]
             y += offset[1]
             z += offset[2]
-        drone.x = clamp(x, lo[0], hi[0])
-        drone.y = clamp(y, lo[1], hi[1])
-        z = clamp(z, lo[2], hi[2])
+        # The arena clamp; a NaN coordinate fails every bound and is refused.
+        drone.x = x if lo_x <= x <= hi_x else _into_arena(drone, tick, x, lo_x, hi_x)
+        drone.y = y if lo_y <= y <= hi_y else _into_arena(drone, tick, y, lo_y, hi_y)
+        z = z if lo_z <= z <= hi_z else _into_arena(drone, tick, z, lo_z, hi_z)
         drone.z = z if z > 0.0 else 0.0
 
     # Phase 3: battery discharge; depletion grounds the drone immediately.
@@ -419,6 +436,23 @@ def _advance(world: World) -> None:
     # Phase 5: sensors -- nothing to do; see _Drone.inbox and .detections.
 
     world.tick = tick + 1
+
+
+def _into_arena(drone: _Drone, tick: int, value: float, lo: float, hi: float) -> float:
+    """A coordinate outside [lo, hi] clamped to the nearer bound; NaN,
+    which no bound orders, raises ConfigurationError."""
+    if value < lo:
+        return lo
+    if value > hi:
+        return hi
+    raise _overflow(drone, tick)
+
+
+def _overflow(drone: _Drone, tick: int) -> ConfigurationError:
+    return ConfigurationError(
+        f"motion is not finite at tick {tick + 1}: a controller value overflowed",
+        f"[drone {drone.spec.id}]",
+    )
 
 
 def _gauss_batch(rng: random.Random, std: float, n: int) -> list[float]:

@@ -1,14 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dronesim.battery import (
     DEFAULT_COEFFS,
     DEFAULT_T_MAX,
+    STOCK_MODEL,
     BatteryModel,
     BatteryModelError,
     battery_next_charge,
     battery_time_to_empty,
     fit_discharge_polynomial,
 )
+from dronesim.scenario import DroneSpec
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def poly_oracle(coeffs, t):
@@ -29,6 +38,34 @@ def root_oracle(coeffs, t_max, charge, tol=1e-12):
 
 
 class TestDefaultModel:
+    def test_stock_model_is_the_validated_model(self):
+        # STOCK_MODEL is built without _validate; it must be, to the bit,
+        # what validation builds.
+        validated = BatteryModel()
+        assert STOCK_MODEL == validated
+        assert STOCK_MODEL.cutoff_charge.hex() == validated.cutoff_charge.hex()
+        assert hash(STOCK_MODEL) == hash(validated)
+        assert repr(STOCK_MODEL) == repr(validated)
+        assert DroneSpec._defaults["battery"] is STOCK_MODEL
+
+    def test_import_and_battery_experiment_skip_the_monotonicity_scan(self):
+        code = (
+            "import sys\n"
+            "scans = []\n"
+            "sys.setprofile(lambda frame, event, arg: event == 'call' and "
+            "frame.f_code.co_name == '_check_monotone' and scans.append(1))\n"
+            "import dronesim.cli, dronesim.experiments\n"
+            "dronesim.experiments.variants('battery')\n"
+            "sys.setprofile(None)\n"
+            "print(len(scans))\n"
+        )
+        paths = [SRC, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0"]
+
     def test_full_at_zero_and_cutoff_at_tmax(self):
         m = BatteryModel()
         assert m.poly(0.0) == 1.0

@@ -96,6 +96,49 @@ class TestRun:
         (line,) = err.splitlines()
         assert line.startswith("error: [waypoints cf1] speed: ") and "finite" in line
 
+    def test_overflowing_velocity_gain_exits_2(self, tmp_path, capsys):
+        # kd * (ex - prev) / dt overflows to -inf and saturate scaled it by
+        # vmax / inf = 0: x, y and the velocity were written as nan from
+        # tick 2 on, with exit 0.
+        doc = tmp_path / "kd.scn"
+        doc.write_text(
+            (SCENARIOS / "hover.scn").read_text() + "kd_vel = 1e308\n"
+            "\n[script cf1]\ncommands =\n    0 velocity world 1 0 0 0\n"
+            "    2 velocity world -1 0.5 0 0\n"
+        )
+        code, out, err = run_cli(["run", doc, "--out", tmp_path], capsys)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: [drone cf1]: ") and "tick 2" in line
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_overflowing_yaw_exits_2(self, tmp_path, capsys):
+        # yaw + yaw_rate * dt overflows to inf: wrap_deg's fmod raised
+        # "math domain error" as a traceback, with exit 1.
+        doc = tmp_path / "yaw.scn"
+        doc.write_text(
+            (SCENARIOS / "hover.scn").read_text().replace("dt = 0.1", "dt = 1e200")
+            + "\n[script cf1]\ncommands =\n    0 velocity world 1 0 0 10\n"
+        )
+        code, out, err = run_cli(["run", doc, "--out", tmp_path], capsys)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: [drone cf1]: ") and "tick 1" in line
+
+    def test_overflowing_time_exits_2(self, tmp_path, capsys):
+        # tick * dt overflowed: time_s was inf from tick 2 on and the summary
+        # printed a 300-digit time_to_zero_charge, with exit 0.
+        doc = tmp_path / "time.scn"
+        doc.write_text(
+            (SCENARIOS / "hover.scn").read_text().replace("dt = 0.1", "dt = 1e308")
+        )
+        code, out, err = run_cli(["run", doc, "--out", tmp_path], capsys)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: [scenario] dt: ") and "finite" in line
+        code, out, err = run_cli(["run", doc, "--ticks", 1, "--out", tmp_path], capsys)
+        assert (code, err) == (0, "")
+
     def test_corrupt_scenario_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text("[scenario]\nname = x\nduration = 1\noops no equals\n")
@@ -544,8 +587,9 @@ class TestEntryPoint:
 
     def test_import_leaves_heavy_modules_unloaded(self):
         # -S keeps the environment's site hooks out of sys.modules. The CLI
-        # itself loads no dataclasses (nor the inspect it pulls in), and
-        # configparser and csv only when a command needs them.
+        # itself loads no dataclasses (nor the inspect it pulls in), csv
+        # only when a command needs it, and configparser never: scenario
+        # documents have a reader of their own.
         code = (
             "import sys, dronesim.cli\n"
             "heavy = ('dataclasses', 'inspect', 'configparser', 'csv')\n"
@@ -558,4 +602,4 @@ class TestEntryPoint:
             capture_output=True, text=True, env=src_env(),
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == ["", "True"]
+        assert result.stdout.splitlines() == ["", "False"]

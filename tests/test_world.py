@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import dronesim.world as world_mod
 from dronesim.battery import BatteryModel
 from dronesim.camera import CameraConfig, detect_sources
-from dronesim.control import Command
+from dronesim.control import Command, GainSet, PDGains
 from dronesim.geometry import wrap_deg
 from dronesim.rab import RabConfig, make_reading
 from dronesim.scenario import DroneSpec, LightSpec, Scenario, WaypointPlan
@@ -605,6 +605,47 @@ def test_overflowing_guidance_is_rejected_not_simulated():
     )
     with pytest.raises(ValueError, match="finite"):
         run_scenario(scenario)
+
+
+def test_overflowing_motion_is_rejected_not_simulated():
+    # kd * d(err)/dt overflows and saturate turns inf * 0 into NaN; from
+    # tick 2 the position would be NaN. Both run() and step() refuse it.
+    scenario = Scenario(
+        name="kd", duration=5,
+        drones=(DroneSpec(id="cf1", position=(0.0, 0.0, 1.0),
+                          gains=GainSet(velocity=PDGains(10.0, 1e308))),),
+        scripts={"cf1": ((0, Command.velocity((1.0, 0.0, 0.0))),
+                         (2, Command.velocity((-1.0, 0.5, 0.0))))},
+    )
+    with pytest.raises(ConfigurationError) as info:
+        run_scenario(scenario)
+    assert str(info.value).startswith("[drone cf1]: ") and "tick 2" in str(info.value)
+    world = step(create_world(scenario))
+    with pytest.raises(ConfigurationError, match=r"^\[drone cf1\]: "):
+        step(world)
+    # An infinite yaw, which wrap_deg cannot wrap, is refused the same way.
+    spinning = Scenario(
+        name="spin", dt=1e200, duration=3,
+        drones=(DroneSpec(id="cf1", position=(0.0, 0.0, 1.0)),),
+        scripts={"cf1": ((0, Command.velocity((1.0, 0.0, 0.0), 10.0)),)},
+    )
+    with pytest.raises(ConfigurationError, match=r"^\[drone cf1\]: .*tick 1"):
+        run_scenario(spinning)
+
+
+def test_overflowing_time_is_rejected_before_the_first_tick():
+    # time_s = tick * dt must stay finite; it was inf from tick 2 on.
+    scenario = Scenario(name="slow", dt=1e308, duration=3,
+                        drones=(DroneSpec(id="cf1", position=(0.0, 0.0, 1.0)),))
+    world = create_world(scenario)
+    for n_ticks in (2, 3, 10**400):
+        with pytest.raises(ConfigurationError, match=r"^\[scenario\] dt: "):
+            run(world, n_ticks)
+    world, trajectories = run(world, 1)
+    assert [row.time_s for row in trajectories["cf1"].rows] == [0.0, 1e308]
+    with pytest.raises(ConfigurationError, match=r"^\[scenario\] dt: "):
+        step(world)
+    assert step(create_world(scenario)).tick == 1
 
 
 def _bits(values):

@@ -71,6 +71,20 @@ class Command(Value):
 
 HOVER = Command.velocity(ZERO3)
 
+_new = object.__new__
+_set_kind, _set_frame, _set_linear, _set_angular = Command._setters
+
+
+def _world_velocity(linear: Vec3) -> Command:
+    """``Command(VELOCITY, WORLD, linear, 0.0)`` for a ``linear`` already
+    checked finite: the four slots set directly, without ``_validate``."""
+    command = _new(Command)
+    _set_kind(command, VELOCITY)
+    _set_frame(command, WORLD)
+    _set_linear(command, linear)
+    _set_angular(command, 0.0)
+    return command
+
 
 class PDGains(Value):
     """Proportional gain ``kp`` (1/s) and derivative gain ``kd`` (dimensionless)."""

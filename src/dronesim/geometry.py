@@ -44,6 +44,10 @@ def saturate(v: Vec3, vmax: float) -> Vec3:
     n = math.sqrt(x * x + y * y + z * z)
     if n <= vmax:
         return v
+    if n == math.inf:
+        # The squares overflowed; hypot does not (it is inf only for an
+        # infinite component or a norm beyond the float range).
+        n = math.hypot(x, y, z)
     s = vmax / n
     return (x * s, y * s, z * s)
 

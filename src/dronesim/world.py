@@ -43,15 +43,16 @@ from .control import (
     DroneState,
     HOVER,
     POSITION,
-    VELOCITY,
-    WORLD,
+    _world_velocity,
     drone_control_step,
     next_pose,
     resolve_position_target,
 )
 from .geometry import Vec3, is_finite3, wrap_deg
 from .rab import PayloadError, RabReading, make_reading
-from .scenario import ConfigurationError, DroneSpec, Scenario, is_color  # noqa: F401 (re-exported)
+from .scenario import (  # noqa: F401 (ConfigurationError is re-exported)
+    ConfigurationError, DroneSpec, Scenario, WaypointPlan, is_color,
+)
 from .trajectory import Trajectory, TrajectoryRow
 
 # NamedTuple construction without the generated ``__new__``, a Python-level
@@ -227,13 +228,15 @@ def run(world: World, n_ticks: int):
         raise ValueError("n_ticks must be >= 0")
     _check_time(world, n_ticks)
     current = world.copy()
-    trajectories = {
-        d.spec.id: Trajectory(d.spec.id, []) for d in current.drones
-    }
-    _record(current, trajectories)
+    trajectories = {}
+    appenders = []  # each drone's rows.append, in registry order
+    for d in current.drones:
+        trajectory = trajectories[d.spec.id] = Trajectory(d.spec.id, [])
+        appenders.append(trajectory.rows.append)
+    _record(current, appenders)
     for _ in range(n_ticks):
         _advance(current)
-        _record(current, trajectories)
+        _record(current, appenders)
     return current, trajectories
 
 
@@ -254,11 +257,11 @@ def _check_time(world: World, n_ticks: int) -> None:
                                  "[scenario] dt")
 
 
-def _record(world: World, trajectories) -> None:
+def _record(world: World, appenders) -> None:
     tick = world.tick
     t = tick * world.dt
-    for d in world.drones:
-        trajectories[d.spec.id].rows.append(_new_tuple(TrajectoryRow, (
+    for d, append in zip(world.drones, appenders):
+        append(_new_tuple(TrajectoryRow, (
             tick, t, d.x, d.y, d.z, d.yaw,
             d.vx, d.vy, d.vz, d.yaw_rate, d.charge,
         )))
@@ -361,15 +364,27 @@ def _advance(world: World) -> None:
     tick = world.tick
 
     # Phase 1: scripts/guidance update commands, controllers compute motion.
+    scripts = scenario.scripts
+    waypoints = scenario.waypoints
     new_motion = []
     for drone in world.drones:
-        _apply_script(scenario, drone, tick)
-        _apply_waypoints(scenario, drone)
-        if drone.spec.rab_broadcast is not None:
-            drone.outbox.append(drone.spec.rab_broadcast)
+        spec = drone.spec
+        entries = scripts.get(spec.id)
+        if entries:
+            _apply_script(entries, drone, tick)
+        plan = waypoints.get(spec.id)
+        if plan is not None:
+            _apply_waypoints(plan, drone)
+        if spec.rab_broadcast is not None:
+            drone.outbox.append(spec.rab_broadcast)
+        # The state is drone.state(), built here: a method call less.
+        state = _new_tuple(DroneState, (
+            (drone.x, drone.y, drone.z), drone.yaw,
+            (drone.vx, drone.vy, drone.vz), drone.yaw_rate, drone.charge,
+        ))
         velocity, yaw_rate, drone.memory = drone_control_step(
-            drone.state(), drone.memory, drone.command, drone.target,
-            drone.spec.gains, drone.spec.limits, dt,
+            state, drone.memory, drone.command, drone.target,
+            spec.gains, spec.limits, dt,
         )
         new_motion.append((velocity, yaw_rate))
 
@@ -487,10 +502,9 @@ def _gauss_batch(rng: random.Random, std: float, n: int) -> list[float]:
     return draws
 
 
-def _apply_script(scenario: Scenario, drone: _Drone, tick: int) -> None:
-    entries = scenario.scripts.get(drone.spec.id)
-    if not entries:
-        return
+def _apply_script(entries: tuple, drone: _Drone, tick: int) -> None:
+    """Switch to the last of the script ``entries`` due by ``tick``, if it
+    is not the current one."""
     idx = drone.script_idx
     while idx < len(entries) and entries[idx][0] <= tick:
         idx += 1
@@ -499,10 +513,9 @@ def _apply_script(scenario: Scenario, drone: _Drone, tick: int) -> None:
         _switch(drone, entries[idx - 1][1])
 
 
-def _apply_waypoints(scenario: Scenario, drone: _Drone) -> None:
-    plan = scenario.waypoints.get(drone.spec.id)
-    if plan is None:
-        return
+def _apply_waypoints(plan: WaypointPlan, drone: _Drone) -> None:
+    """Advance past a reached waypoint of ``plan``, then steer at the
+    current one, or park at the last."""
     idx = drone.waypoint_idx
     points = plan.points
     if idx >= len(points):
@@ -511,7 +524,7 @@ def _apply_waypoints(scenario: Scenario, drone: _Drone) -> None:
     dx = wx - drone.x
     dy = wy - drone.y
     dz = wz - drone.z
-    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+    dist = _sqrt(dx * dx + dy * dy + dz * dz)
     if dist <= plan.threshold:
         idx += 1
         drone.waypoint_idx = idx
@@ -524,7 +537,7 @@ def _apply_waypoints(scenario: Scenario, drone: _Drone) -> None:
         dx = wx - drone.x
         dy = wy - drone.y
         dz = wz - drone.z
-        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+        dist = _sqrt(dx * dx + dy * dy + dz * dz)
     if dist == 0.0:
         drone.command = HOVER
     else:
@@ -535,7 +548,7 @@ def _apply_waypoints(scenario: Scenario, drone: _Drone) -> None:
                 "the guidance velocity speed / distance is not finite",
                 f"[waypoints {drone.spec.id}] speed",
             )
-        drone.command = Command._unchecked(VELOCITY, WORLD, linear, 0.0)
+        drone.command = _world_velocity(linear)
     drone.target = None
 
 

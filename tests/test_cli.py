@@ -308,6 +308,18 @@ class TestExperiment:
         )
         assert abs(float(fields["time_to_zero_charge"]) - 427.21) <= 0.1
 
+    def test_huge_speed_flies_at_the_speed_limit(self, tmp_path, capsys):
+        # The command's norm overflowed to inf in saturate, which scaled the
+        # velocity to zero: peak_speed=0.000000 and the drone never moved.
+        code, out, _ = run_cli(
+            ["experiment", "line2d", "--speed", "1e300", "--out-dir", tmp_path],
+            capsys,
+        )
+        assert code == 0
+        fields = dict(kv.split("=", 1) for kv in out.splitlines()[0].split())
+        assert 0.0 < float(fields["peak_speed"]) <= 10.0
+        assert fields["final_position"] != "0.000000,0.000000,1.000000"
+
     def test_camera_calibration_pixels(self, tmp_path, capsys):
         code, out, _ = run_cli(
             ["experiment", "camera-calibration", "--out-dir", tmp_path], capsys

@@ -272,6 +272,8 @@ def _o_saturate(v, vmax):
     n = _o_norm(v)
     if n <= vmax:
         return v
+    if n == math.inf:  # overflowed squares: the true norm of a finite vector
+        n = math.hypot(*v)
     s = vmax / n
     return (v[0] * s, v[1] * s, v[2] * s)
 

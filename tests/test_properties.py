@@ -28,13 +28,18 @@ vec3 = st.tuples(small, small, small)
 angle = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
 
 
-@given(vec3, st.floats(min_value=1e-3, max_value=100.0))
+# Components up to 1e300: their squares overflow, their norm does not.
+huge = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+any_vec3 = st.one_of(vec3, st.tuples(huge, huge, huge), st.tuples(small, huge, small))
+
+
+@given(any_vec3, st.floats(min_value=1e-3, max_value=100.0))
 def test_saturate_direction_and_magnitude(v, vmax):
     clipped = saturate(v, vmax)
-    n = norm(v)
-    assert norm(clipped) <= vmax + 1e-12
+    n = math.hypot(*v)
+    assert math.hypot(*clipped) <= vmax + 1e-12
     if n > vmax and n > 0.0:
-        cos = sum(a * b for a, b in zip(v, clipped)) / (n * norm(clipped))
+        cos = sum(a * b for a, b in zip(v, clipped)) / (n * math.hypot(*clipped))
         assert abs(cos - 1.0) <= 1e-12
     elif n <= vmax:
         assert clipped == v

@@ -3,13 +3,13 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import dronesim.world as world_mod
 from dronesim.battery import BatteryModel
 from dronesim.camera import CameraConfig, detect_sources
-from dronesim.control import Command, GainSet, PDGains
+from dronesim.control import VELOCITY, WORLD, Command, GainSet, PDGains
 from dronesim.geometry import wrap_deg
 from dronesim.rab import RabConfig, make_reading
 from dronesim.scenario import DroneSpec, LightSpec, Scenario, WaypointPlan
@@ -169,6 +169,76 @@ class TestRun:
         _, second = run(mid, 23)
         joined = first["cf1"].rows + second["cf1"].rows[1:]
         assert joined == full["cf1"].rows
+
+    # Without the explain phase: on a failure, its search over this test's
+    # many draws ran for minutes before the counterexample was reported.
+    @settings(max_examples=60, deadline=None,
+              phases=[p for p in Phase if p is not Phase.explain])
+    @given(data=st.data())
+    def test_run_composes_across_the_tick_paths(self, data):
+        # Scripted and waypoint drones side by side, an odd number of jitter
+        # draws per tick (3 per drone, odd drone count: a Box-Muller value
+        # stays pending across ticks), and one drone grounded mid-run.
+        ticks = 40
+        n = data.draw(st.sampled_from([3, 5, 7]), label="drones")
+        coordinate = st.floats(min_value=-1.2, max_value=1.2)
+        point = st.tuples(coordinate, coordinate, st.floats(min_value=0.3, max_value=2.5))
+        grounded_at = data.draw(st.integers(min_value=1, max_value=ticks - 1), label="grounded")
+        drones, scripts, waypoints = [], {}, {}
+        for i in range(n):
+            charge = 1.0
+            if i == n - 1:  # empties after grounded_at ticks of the stock curve
+                charge = BatteryModel().poly(BatteryModel().t_max - grounded_at * 0.1 + 0.05)
+            drones.append(DroneSpec(id=f"cf{i}", position=data.draw(point), charge=charge))
+            if i % 2:
+                waypoints[f"cf{i}"] = WaypointPlan(
+                    speed=data.draw(st.floats(min_value=0.2, max_value=3.0)),
+                    points=tuple(data.draw(st.lists(point, min_size=1, max_size=4))),
+                    threshold=data.draw(st.floats(min_value=0.05, max_value=0.5)),
+                )
+            else:
+                commands = st.sampled_from([
+                    Command.velocity((0.4, -0.2, 0.1), 15.0),
+                    Command.velocity((0.3, 0.0, 0.0), -10.0, frame="body"),
+                    Command.position((0.5, -0.5, 1.5), 30.0),
+                    Command.position((0.2, 0.1, -0.3), 90.0, frame="body"),
+                ])
+                starts = sorted(data.draw(st.lists(
+                    st.integers(min_value=0, max_value=ticks), min_size=1, max_size=4)))
+                scripts[f"cf{i}"] = tuple((t, data.draw(commands)) for t in starts)
+        scenario = Scenario(
+            name="mixed", duration=ticks, drones=tuple(drones), scripts=scripts,
+            waypoints=waypoints, noise_seed=data.draw(st.integers(0, 2**32)),
+            noise_position_std=0.002,
+        )
+        world = create_world(scenario)
+        split = data.draw(st.integers(min_value=0, max_value=ticks), label="split")
+        end, full = run(world, ticks)
+        mid, first = run(world, split)
+        end2, second = run(mid, ticks - split)
+        for d in scenario.drones:
+            assert first[d.id].rows + second[d.id].rows[1:] == full[d.id].rows
+        assert end2.rng.getstate() == end.rng.getstate()
+        # Each drone's rows are its own: step() records nothing, so its
+        # states check which row went to which trajectory.
+        stepped = world
+        for tick in range(ticks + 1):
+            for d in scenario.drones:
+                row = full[d.id].rows[tick]
+                assert stepped.drone(d.id).state() == (
+                    (row.x, row.y, row.z), row.yaw_deg, (row.vx, row.vy, row.vz),
+                    row.yaw_rate_deg_s, row.charge,
+                )
+            if tick < ticks:
+                stepped = step(stepped)
+        rows = full[f"cf{n - 1}"].rows
+        assert rows[grounded_at - 1].charge > 0.0 and rows[grounded_at].charge == 0.0
+        # Guidance commands are plain world-frame velocity commands.
+        for drone_id in waypoints:
+            command = end.drone(drone_id).command
+            if command.kind == VELOCITY:
+                assert command == Command(VELOCITY, WORLD, command.linear, 0.0)
+                assert repr(command) == repr(Command.velocity(command.linear))
 
     def test_charge_monotone_nonincreasing(self):
         _, trajs = run_scenario(hover_scenario(duration=200))
@@ -605,6 +675,27 @@ def test_overflowing_guidance_is_rejected_not_simulated():
     )
     with pytest.raises(ValueError, match="finite"):
         run_scenario(scenario)
+
+
+def test_far_position_target_flies_like_a_near_one():
+    # The position loop's error norm overflowed to inf in saturate, whose
+    # vmax / inf scaled the desired velocity to zero: a target 1e200 m away
+    # kept x = vx = 0.0 on every tick while one 1e150 m away flew.
+    def fly(distance):
+        scenario = Scenario(
+            name="far", duration=20,
+            arena_min=(-1e300, -1e300, 0.0), arena_max=(1e300, 1e300, 1e300),
+            drones=(DroneSpec(id="cf1", position=(0.0, 0.0, 1.0)),),
+            scripts={"cf1": ((0, Command.position((distance, 0.0, 1.0))),)},
+        )
+        _, trajectories = run_scenario(scenario)
+        return trajectories["cf1"].rows
+
+    near, far = fly(1e150), fly(1e200)
+    assert near[-1].x > 0.0 and near[-1].vx > 0.0
+    assert far[-1].x > 0.0 and far[-1].vx > 0.0
+    for a, b in zip(near, far):
+        assert (a.x, a.vx) == pytest.approx((b.x, b.vx), rel=1e-12)
 
 
 def test_overflowing_motion_is_rejected_not_simulated():

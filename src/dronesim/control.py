@@ -9,8 +9,16 @@ rate:
   clamped to the configured limits, and integrates it into the new velocity
   state (``velocity_control_step``).
 
-Both loops are pure functions: per-drone derivative memory is passed in and
-returned explicitly so that a world snapshot fully determines the next tick.
+The whole cascade runs in one frame, ``drone_control_step``: the position
+loop for position commands, then the velocity and yaw-rate loops with their
+clamps written inline. A vector within its limit is only measured there;
+``geometry.saturate`` scales one past it. The two loops stay available on
+their own as ``position_control_step`` (which the cascade calls) and
+``velocity_control_step`` (which runs the cascade on a velocity command).
+
+All of these are pure functions: per-drone derivative memory is passed in
+and returned explicitly so that a world snapshot fully determines the next
+tick.
 
 Default gains were calibrated against the acceptance envelope, not copied
 from hardware: the linear velocity loop uses kp = 1/dt (one-tick deadbeat
@@ -22,6 +30,7 @@ commanded turn rates are not fully reached within a short turn.
 from __future__ import annotations
 
 import math
+from math import sqrt as _sqrt
 from typing import NamedTuple, Optional
 
 from ._value import Value
@@ -29,7 +38,6 @@ from .geometry import (
     Vec3,
     ZERO3,
     body_to_world,
-    clamp,
     is_finite3,
     saturate,
     wrap_deg,
@@ -175,14 +183,16 @@ def velocity_control_step(
     saturated at the speed limit; acceleration is kp*err + kd*d(err)/dt with
     its magnitude clamped to the acceleration limit. Yaw rate is tracked by
     the analogous scalar loop clamped to the yaw acceleration limit.
+
+    This is ``drone_control_step`` on a velocity command, except that a
+    drone with an empty battery is flown, not grounded.
     """
     if cmd.kind != VELOCITY:
         raise ValueError("velocity_control_step requires a velocity command")
-    linear = cmd.linear
-    if cmd.frame == BODY:
-        linear = body_to_world(linear, state.yaw)
-    v_des = saturate(linear, limits.max_linear_speed)
-    return _velocity_loop(state, memory, v_des, cmd.angular, gains, limits, dt)
+    if state.charge <= 0.0:
+        # The cascade reads the charge only to ground the drone.
+        state = state._replace(charge=1.0)
+    return drone_control_step(state, memory, cmd, None, gains, limits, dt)
 
 
 def position_control_step(
@@ -209,14 +219,17 @@ def position_control_step(
     kd = gains.position.kd
     if kd != 0.0 and memory.pos_err is not None:
         pex, pey, pez = memory.pos_err
-        raw = (
-            kp * ex + kd * (ex - pex) / dt,
-            kp * ey + kd * (ey - pey) / dt,
-            kp * ez + kd * (ez - pez) / dt,
-        )
+        dx = kp * ex + kd * (ex - pex) / dt
+        dy = kp * ey + kd * (ey - pey) / dt
+        dz = kp * ez + kd * (ez - pez) / dt
     else:
-        raw = (kp * ex, kp * ey, kp * ez)
-    v_des = saturate(raw, limits.max_linear_speed)
+        dx = kp * ex
+        dy = kp * ey
+        dz = kp * ez
+    v_des = (dx, dy, dz)
+    max_speed = limits.max_linear_speed
+    if not _sqrt(dx * dx + dy * dy + dz * dz) <= max_speed:
+        v_des = saturate(v_des, max_speed)
 
     yaw_err = wrap_deg(target_yaw - state.yaw)
     kpy = gains.position_yaw.kp
@@ -225,7 +238,11 @@ def position_control_step(
         rate_des = kpy * yaw_err + kdy * (yaw_err - memory.yaw_err) / dt
     else:
         rate_des = kpy * yaw_err
-    rate_des = clamp(rate_des, -limits.max_yaw_rate, limits.max_yaw_rate)
+    max_rate = limits.max_yaw_rate
+    if rate_des < -max_rate:
+        rate_des = -max_rate
+    elif rate_des > max_rate:
+        rate_des = max_rate
 
     return v_des, rate_des, _new_tuple(ControllerMemory, (
         memory.vel_err, memory.yaw_rate_err, (ex, ey, ez), yaw_err
@@ -247,24 +264,84 @@ def drone_control_step(
     Position commands run the position loop and feed its setpoint into the
     velocity loop; the achieved yaw rate is additionally clamped at the
     position-mode rate limit.
+
+    The velocity and yaw-rate loops run here, in this frame: each axis and
+    the yaw rate get kp*err + kd*d(err)/dt (no derivative term without
+    history), clamped to the acceleration limits. A vector within its limit
+    is only measured; ``saturate`` is called past it (or for NaN).
     """
     if state.charge <= 0.0:
         return ZERO3, 0.0, memory
-    if cmd.kind == VELOCITY:
-        return velocity_control_step(state, memory, cmd, gains, limits, dt)
-
-    if resolved_target is None:
-        target, target_yaw = resolve_position_target(state, cmd)
+    max_speed = limits.max_linear_speed
+    velocity_mode = cmd.kind == VELOCITY
+    if velocity_mode:
+        linear = cmd.linear
+        if cmd.frame == BODY:
+            linear = body_to_world(linear, state.yaw)
+        dx, dy, dz = linear
+        if not _sqrt(dx * dx + dy * dy + dz * dz) <= max_speed:
+            dx, dy, dz = saturate(linear, max_speed)
+        rate_des = cmd.angular
     else:
-        target, target_yaw = resolved_target
-    v_des, rate_des, memory = position_control_step(
-        state, memory, target, target_yaw, gains, limits, dt
-    )
-    new_velocity, new_rate, memory = _velocity_loop(
-        state, memory, v_des, rate_des, gains, limits, dt
-    )
-    new_rate = clamp(new_rate, -limits.max_yaw_rate, limits.max_yaw_rate)
-    return new_velocity, new_rate, memory
+        if resolved_target is None:
+            target, target_yaw = resolve_position_target(state, cmd)
+        else:
+            target, target_yaw = resolved_target
+        (dx, dy, dz), rate_des, memory = position_control_step(
+            state, memory, target, target_yaw, gains, limits, dt
+        )
+
+    vx, vy, vz = state.velocity
+    ex = dx - vx
+    ey = dy - vy
+    ez = dz - vz
+    pd = gains.velocity
+    kp = pd.kp
+    kd = pd.kd
+    prev = memory.vel_err
+    if kd != 0.0 and prev is not None:
+        ax = kp * ex + kd * (ex - prev[0]) / dt
+        ay = kp * ey + kd * (ey - prev[1]) / dt
+        az = kp * ez + kd * (ez - prev[2]) / dt
+    else:
+        ax = kp * ex
+        ay = kp * ey
+        az = kp * ez
+    max_accel = limits.max_linear_accel
+    if not _sqrt(ax * ax + ay * ay + az * az) <= max_accel:
+        ax, ay, az = saturate((ax, ay, az), max_accel)
+    # Defensive cap: tracking approaches the (already saturated) setpoint
+    # from below, so this only trims float round-off.
+    nx = vx + ax * dt
+    ny = vy + ay * dt
+    nz = vz + az * dt
+    new_velocity = (nx, ny, nz)
+    if not _sqrt(nx * nx + ny * ny + nz * nz) <= max_speed:
+        new_velocity = saturate(new_velocity, max_speed)
+
+    rate = state.yaw_rate
+    rate_err = rate_des - rate
+    pd = gains.velocity_yaw
+    prev = memory.yaw_rate_err
+    if pd.kd != 0.0 and prev is not None:
+        a = pd.kp * rate_err + pd.kd * (rate_err - prev) / dt
+    else:
+        a = pd.kp * rate_err
+    max_yaw_accel = limits.max_yaw_accel
+    if a < -max_yaw_accel:
+        a = -max_yaw_accel
+    elif a > max_yaw_accel:
+        a = max_yaw_accel
+    new_rate = rate + a * dt
+    if not velocity_mode:
+        max_rate = limits.max_yaw_rate
+        if new_rate < -max_rate:
+            new_rate = -max_rate
+        elif new_rate > max_rate:
+            new_rate = max_rate
+    return new_velocity, new_rate, _new_tuple(ControllerMemory, (
+        (ex, ey, ez), rate_err, memory.pos_err, memory.yaw_err
+    ))
 
 
 def resolve_position_target(state: DroneState, cmd: Command) -> tuple[Vec3, float]:
@@ -302,46 +379,3 @@ def integrate(state: DroneState, new_velocity: Vec3, new_yaw_rate: float, dt: fl
     if z < 0.0:
         z = 0.0
     return DroneState((x, y, z), yaw, new_velocity, new_yaw_rate, state.charge)
-
-
-def _velocity_loop(state, memory, v_des, rate_des, gains, limits, dt):
-    """Track a desired world velocity and yaw rate; the tail of both loops.
-
-    Each axis and the yaw rate get kp*err + kd*d(err)/dt (no derivative
-    term without history), clamped to the acceleration limits.
-    """
-    vx, vy, vz = state.velocity
-    ex = v_des[0] - vx
-    ey = v_des[1] - vy
-    ez = v_des[2] - vz
-    pd = gains.velocity
-    kp = pd.kp
-    kd = pd.kd
-    prev = memory.vel_err
-    if kd != 0.0 and prev is not None:
-        ax = kp * ex + kd * (ex - prev[0]) / dt
-        ay = kp * ey + kd * (ey - prev[1]) / dt
-        az = kp * ez + kd * (ez - prev[2]) / dt
-    else:
-        ax = kp * ex
-        ay = kp * ey
-        az = kp * ez
-    ax, ay, az = saturate((ax, ay, az), limits.max_linear_accel)
-    # Defensive cap: tracking approaches the (already saturated) setpoint
-    # from below, so this only trims float round-off.
-    new_velocity = saturate(
-        (vx + ax * dt, vy + ay * dt, vz + az * dt), limits.max_linear_speed
-    )
-
-    rate = state.yaw_rate
-    rate_err = rate_des - rate
-    pd = gains.velocity_yaw
-    prev = memory.yaw_rate_err
-    if pd.kd != 0.0 and prev is not None:
-        a = pd.kp * rate_err + pd.kd * (rate_err - prev) / dt
-    else:
-        a = pd.kp * rate_err
-    a = clamp(a, -limits.max_yaw_accel, limits.max_yaw_accel)
-    return new_velocity, rate + a * dt, _new_tuple(ControllerMemory, (
-        (ex, ey, ez), rate_err, memory.pos_err, memory.yaw_err
-    ))

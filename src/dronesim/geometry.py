@@ -48,16 +48,16 @@ def saturate(v: Vec3, vmax: float) -> Vec3:
         # The squares overflowed; hypot does not (it is inf only for an
         # infinite component or a norm beyond the float range).
         n = math.hypot(x, y, z)
+        m = max(abs(x), abs(y), abs(z))
+        if n == math.inf and m < math.inf:
+            # A finite vector longer than the float range: measure it in
+            # units of its largest component.
+            x /= m
+            y /= m
+            z /= m
+            n = math.hypot(x, y, z)
     s = vmax / n
     return (x * s, y * s, z * s)
-
-
-def clamp(x: float, lo: float, hi: float) -> float:
-    if x < lo:
-        return lo
-    if x > hi:
-        return hi
-    return x
 
 
 def is_finite3(v) -> bool:

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -203,6 +204,48 @@ class TestDroneControlStep:
         assert peak < 90.0
         assert abs(state.yaw - 180.0) < 0.5 or abs(state.yaw + 180.0) < 0.5
 
+    @staticmethod
+    def python_calls_inside(*args):
+        """Names of the Python functions called during one
+        ``drone_control_step(*args)``, the step itself left out."""
+        names = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is not drone_control_step.__code__:
+                names.append(frame.f_code.co_name)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            drone_control_step(*args)
+        finally:
+            sys.setprofile(previous)
+        return names
+
+    @pytest.mark.parametrize("velocity,linear,memory,pd,limits,dt", [
+        ((0.2, -0.1, 0.0), (0.3, -0.2, 0.1), ControllerMemory((0.1, 0.0, 0.0), 1.0),
+         PDGains(2.0, 0.1), ControllerLimits(), DT),
+        # The setpoint, the acceleration and the new velocity are each
+        # exactly at their limit of 5.0.
+        ((0.0, 0.0, 0.0), (3.0, 4.0, 0.0), ControllerMemory(),
+         PDGains(1.0), ControllerLimits(5.0, 90.0, 5.0, 720.0), 1.0),
+    ])
+    def test_world_velocity_within_limits_makes_no_python_calls(
+            self, velocity, linear, memory, pd, limits, dt):
+        state = hover_state(velocity=velocity, yaw_rate=5.0)
+        gains = GainSet(velocity=pd, velocity_yaw=PDGains(3.0, 0.2))
+        cmd = Command.velocity(linear, 10.0)
+        assert self.python_calls_inside(state, memory, cmd, None, gains, limits, dt) == []
+
+    def test_position_within_limits_calls_only_the_position_loop(self):
+        state = hover_state(position=(1.0, 2.0, 1.0), yaw=10.0)
+        target = ((1.05, 2.02, 1.01), 40.0)
+        cmd = Command.position(*target)
+        names = self.python_calls_inside(
+            state, ControllerMemory(), cmd, target, GainSet(), ControllerLimits(), DT)
+        assert names.count("position_control_step") == 1
+        assert set(names) <= {"position_control_step", "wrap_deg"}
+
 
 class TestCommandValidation:
     def test_rejects_nan(self):
@@ -246,7 +289,10 @@ class TestStateTypes:
 # Differential oracle: the controller stack as it was before DroneState and
 # ControllerMemory became NamedTuples and the PD tracking was folded into
 # one velocity loop. Kept verbatim (geometry helpers included) so that any
-# change to the live stack must reproduce its outputs bit for bit.
+# change to the live stack must reproduce its outputs bit for bit. One
+# deliberate change since: ``_o_saturate`` measures a finite vector whose
+# norm exceeds the float range in units of its largest component, as
+# ``geometry.saturate`` does.
 
 def _o_wrap_deg(angle):
     if -180.0 < angle <= 180.0:
@@ -274,6 +320,10 @@ def _o_saturate(v, vmax):
         return v
     if n == math.inf:  # overflowed squares: the true norm of a finite vector
         n = math.hypot(*v)
+        m = max(abs(v[0]), abs(v[1]), abs(v[2]))
+        if n == math.inf and m < math.inf:  # a norm beyond the float range
+            v = (v[0] / m, v[1] / m, v[2] / m)
+            n = math.hypot(*v)
     s = vmax / n
     return (v[0] * s, v[1] * s, v[2] * s)
 
@@ -504,6 +554,23 @@ _memories = st.tuples(
     cmd=Command.position((4.0, -3.0, 2.0), -170.0, "body"), resolved=None,
     gains=GainSet(PDGains(8.0, 0.3), PDGains(3.0, 0.2), PDGains(2.0, 0.5), PDGains(1.5, 0.4)),
     limits=ControllerLimits(0.5, 10.0, 1.0, 50.0), dt=0.1,
+)
+# The command (or position-loop) setpoint, the acceleration and the new
+# velocity each have a norm of exactly 5.0, the limit: sqrt(3*3 + 4*4) is
+# exact, and so are kp = 1 and dt = 1.
+@example(
+    position=(0.0, 0.0, 0.0), yaw=0.0, velocity=(0.0, 0.0, 0.0), yaw_rate=0.0,
+    charge=1.0, memory=(None, None, None, None),
+    cmd=Command.velocity((3.0, 4.0, 0.0)), resolved=None,
+    gains=GainSet(PDGains(1.0), PDGains(1.0), PDGains(1.0), PDGains(1.0)),
+    limits=ControllerLimits(5.0, 90.0, 5.0, 720.0), dt=1.0,
+)
+@example(
+    position=(0.0, 0.0, 0.0), yaw=0.0, velocity=(0.0, 0.0, 0.0), yaw_rate=0.0,
+    charge=1.0, memory=(None, None, None, None),
+    cmd=Command.position((3.0, 4.0, 0.0)), resolved=((3.0, 4.0, 0.0), 0.0),
+    gains=GainSet(PDGains(1.0), PDGains(1.0), PDGains(1.0), PDGains(1.0)),
+    limits=ControllerLimits(5.0, 90.0, 5.0, 720.0), dt=1.0,
 )
 def test_control_matches_parent_oracle(position, yaw, velocity, yaw_rate, charge,
                                        memory, cmd, resolved, gains, limits, dt):

@@ -51,6 +51,29 @@ def test_saturate_never_exceeds_limit():
 
 
 @pytest.mark.parametrize(
+    "v,vmax",
+    [
+        ((1.5e308, 1.5e308, 0.0), 10.0),
+        ((1.7e308, -1.7e308, 1.7e308), 2.0),
+        ((-1.7976931348623157e308, 1e-300, 1.7976931348623157e308), 0.5),
+    ],
+)
+def test_saturate_norm_beyond_float_range(v, vmax):
+    # The squares and math.hypot both overflow; the direction is kept and
+    # the result lands on the limit.
+    got = saturate(v, vmax)
+    assert math.hypot(*got) == pytest.approx(vmax, rel=1e-15)
+    unit = [c / max(abs(c) for c in v) for c in v]
+    assert got == pytest.approx([c * vmax / math.hypot(*unit) for c in unit], rel=1e-15)
+
+
+def test_saturate_overflowing_squares_keep_hypot_bits():
+    # The norm itself is finite: the result is vmax / hypot, as before.
+    s = 10.0 / math.hypot(1e308, 1e308, 0.0)
+    assert saturate((1e308, 1e308, 0.0), 10.0) == (1e308 * s, 1e308 * s, 0.0)
+
+
+@pytest.mark.parametrize(
     "angle,expected",
     [
         (0.0, 0.0),

@@ -4,9 +4,9 @@ Each experiment is a thin builder returning ordinary scenarios, so any
 variant can be exported as a document and re-run through the generic
 scenario runner with byte-identical trajectory output.
 
-Flight experiments use the stock drone inside the default 3x3x3 m arena,
-except the long position legs, which get an arena stretched along x.
-Velocity experiments fly waypoint plans (advance within 5 cm, park at the
+Each flies the one stock drone (``_flight``) in the default 3x3x3 m arena;
+long position legs stretch it along x on the leg's side. Velocity
+experiments fly waypoint plans (advance within the stock 5 cm, park at the
 last point); step profiles and position/yaw legs are time-scripted.
 """
 
@@ -17,15 +17,15 @@ from typing import NamedTuple, Optional
 
 from .battery import STOCK_MODEL, battery_time_to_empty
 from .camera import CameraConfig
-from .control import Command
-from .geometry import Vec3
+from .control import HOVER, Command, ControllerLimits
+from .geometry import ZERO3, Vec3
 from .scenario import DroneSpec, LightSpec, Scenario, ScenarioError, WaypointPlan
 
 DT = 0.1
 DRONE_ID = "cf1"
 SETTLE_S = 5.0
 TRUNCATED_SETTLE_S = 1.0
-WAYPOINT_THRESHOLD = 0.05
+_STOCK_LIMITS = ControllerLimits()
 
 VELOCITY_SPEEDS = (0.25, 0.5, 1.0)       # m/s
 YAW_RATES = (45.0, 90.0, 180.0)          # deg/s
@@ -71,26 +71,36 @@ def _sname(base: str, value: float) -> str:
     return f"{base}{text}".replace("-", "m")
 
 
+def _flight(name: str, duration, start: Vec3, params: dict, projections: tuple[str, ...],
+            target: Optional[Vec3] = None, target_yaw: Optional[float] = None,
+            plan: Optional[WaypointPlan] = None, script: Optional[tuple] = None,
+            **fields) -> Variant:
+    """One stock drone ``cf1`` starting at ``start`` and flying the waypoint
+    ``plan`` or the ``(tick, Command)`` ``script``, if given, as a variant
+    reporting ``params`` and errors against ``target``/``target_yaw``.
+
+    ``duration`` is seconds rounded to whole ticks, or an int tick count.
+    ``charge`` and ``camera`` go to the drone, other ``fields`` to the scenario.
+    """
+    if not isinstance(duration, int):
+        duration = _ticks(duration)
+    drone = {key: fields.pop(key) for key in ("charge", "camera") if key in fields}
+    if plan is not None:
+        fields["waypoints"] = {DRONE_ID: plan}
+    if script is not None:
+        fields["scripts"] = {DRONE_ID: script}
+    scenario = Scenario(name=name, dt=DT, duration=duration,
+                        drones=(DroneSpec(id=DRONE_ID, position=start, **drone),), **fields)
+    return Variant(scenario, params, projections, target, target_yaw)
+
+
 def build_line2d(speed: float) -> Variant:
     """One-metre legs along the y and x axes from the origin at fixed speed."""
     points = ((0.0, 1.0, 1.0), (0.0, 0.0, 1.0), (1.0, 0.0, 1.0))
-    path_len = 3.0
-    scenario = Scenario(
-        name=_sname("line2d_s", speed),
-        dt=DT,
-        duration=_ticks(path_len / speed + 4.0),
-        drones=(DroneSpec(id=DRONE_ID, position=(0.0, 0.0, 1.0)),),
-        waypoints={
-            DRONE_ID: WaypointPlan(
-                speed=speed, points=points, threshold=WAYPOINT_THRESHOLD
-            )
-        },
-    )
-    return Variant(
-        scenario,
-        {"experiment": "line2d", "speed": speed, "commanded_speed": speed},
-        ("xy",),
-        target=points[-1],
+    return _flight(
+        _sname("line2d_s", speed), 3.0 / speed + 4.0, (0.0, 0.0, 1.0),  # a 3 m path
+        {"experiment": "line2d", "speed": speed, "commanded_speed": speed}, ("xy",),
+        target=points[-1], plan=WaypointPlan(speed=speed, points=points),
     )
 
 
@@ -99,129 +109,71 @@ def build_line3d(speed: float) -> Variant:
     is ``speed`` per axis, i.e. speed*sqrt(3) along the track."""
     commanded = speed * math.sqrt(3.0)
     target = (0.5, 0.5, 1.5)
-    scenario = Scenario(
-        name=_sname("line3d_s", speed),
-        dt=DT,
-        duration=_ticks(1.0 / speed + 4.0),
-        drones=(DroneSpec(id=DRONE_ID, position=(-0.5, -0.5, 0.5)),),
-        waypoints={
-            DRONE_ID: WaypointPlan(
-                speed=commanded, points=(target,), threshold=WAYPOINT_THRESHOLD
-            )
-        },
-    )
-    return Variant(
-        scenario,
-        {"experiment": "line3d", "speed": speed, "commanded_speed": commanded},
-        ("xy", "xz"),
-        target=target,
+    return _flight(
+        _sname("line3d_s", speed), 1.0 / speed + 4.0, (-0.5, -0.5, 0.5),
+        {"experiment": "line3d", "speed": speed, "commanded_speed": commanded}, ("xy", "xz"),
+        target=target, plan=WaypointPlan(speed=commanded, points=(target,)),
     )
 
 
-def _out_and_back(
-    name: str, start: Vec3, leg_ticks: int, out: Command, back: Command
-) -> Scenario:
+def _out_and_back(name: str, start: Vec3, leg_ticks: int, out: Command, back: Command,
+                  params: dict, projections: tuple[str, ...]) -> Variant:
     """Fly ``out`` for ``leg_ticks``, hover 2 s, fly ``back`` as long, hover 2 s."""
     turn = leg_ticks + _ticks(2.0)
-    stop = Command.velocity((0.0, 0.0, 0.0))
-    return Scenario(
-        name=name,
-        dt=DT,
-        duration=2 * turn,
-        drones=(DroneSpec(id=DRONE_ID, position=start),),
-        scripts={DRONE_ID: ((0, out), (leg_ticks, stop), (turn, back), (turn + leg_ticks, stop))},
-    )
+    return _flight(name, 2 * turn, start, params, projections,
+                   script=((0, out), (leg_ticks, HOVER), (turn, back), (turn + leg_ticks, HOVER)))
 
 
 def build_altitude_steps(speed: float) -> Variant:
     """Climb one metre, hover, descend back, at a fixed vertical speed."""
-    scenario = _out_and_back(
+    return _out_and_back(
         _sname("altitude_steps_s", speed), (0.0, 0.0, 0.5), _ticks(1.0 / speed),
         Command.velocity((0.0, 0.0, speed)), Command.velocity((0.0, 0.0, -speed)),
-    )
-    return Variant(
-        scenario,
-        {"experiment": "altitude-steps", "speed": speed, "commanded_speed": speed},
-        ("time-z",),
+        {"experiment": "altitude-steps", "speed": speed, "commanded_speed": speed}, ("time-z",),
     )
 
 
 def build_yaw_steps(rate: float) -> Variant:
     """Rotate 180 degrees and back at a fixed commanded yaw rate."""
-    still = (0.0, 0.0, 0.0)
-    scenario = _out_and_back(
+    return _out_and_back(
         _sname("yaw_steps_w", rate), (0.0, 0.0, 1.0), _ticks(180.0 / rate),
-        Command.velocity(still, yaw_rate=rate), Command.velocity(still, yaw_rate=-rate),
-    )
-    return Variant(
-        scenario,
-        {"experiment": "yaw-steps", "rate": rate, "commanded_rate": rate},
-        ("time-yaw",),
+        Command.velocity(ZERO3, yaw_rate=rate), Command.velocity(ZERO3, yaw_rate=-rate),
+        {"experiment": "yaw-steps", "rate": rate, "commanded_rate": rate}, ("time-yaw",),
     )
 
 
 def build_position_leg(distance: float, settle_s: float = SETTLE_S) -> Variant:
-    """One straight position-controlled leg of the given length along x."""
+    """One straight position-controlled leg of the given length along x;
+    a negative length flies towards -x."""
     target = (distance, 0.0, 1.0)
-    limits_speed = 10.0
-    scenario = Scenario(
-        name=_sname("position_leg_d", distance),
-        dt=DT,
-        duration=_ticks(distance / limits_speed + settle_s),
-        arena_min=(-1.5, -1.5, 0.0),
+    return _flight(
+        _sname("position_leg_d", distance),
+        abs(distance) / _STOCK_LIMITS.max_linear_speed + settle_s, (0.0, 0.0, 1.0),
+        {"experiment": "position-legs", "leg": distance}, ("xy",),
+        target=target, target_yaw=0.0, script=((0, Command.position(target, 0.0)),),
+        arena_min=(min(-1.5, distance - 1.5), -1.5, 0.0),
         arena_max=(max(1.5, distance + 1.5), 1.5, 3.0),
-        drones=(DroneSpec(id=DRONE_ID, position=(0.0, 0.0, 1.0)),),
-        scripts={DRONE_ID: ((0, Command.position(target, 0.0)),)},
-    )
-    return Variant(
-        scenario,
-        {"experiment": "position-legs", "leg": distance},
-        ("xy",),
-        target=target,
-        target_yaw=0.0,
     )
 
 
 def build_yaw_leg(target_yaw: float, settle_s: float = SETTLE_S) -> Variant:
     """Rotate in place to a target yaw under the position controller."""
-    scenario = Scenario(
-        name=_sname("yaw_leg_a", target_yaw),
-        dt=DT,
-        duration=_ticks(abs(target_yaw) / 90.0 + settle_s),
-        drones=(DroneSpec(id=DRONE_ID, position=(0.0, 0.0, 1.0)),),
-        scripts={
-            DRONE_ID: ((0, Command.position((0.0, 0.0, 1.0), target_yaw)),)
-        },
-    )
-    return Variant(
-        scenario,
-        {"experiment": "yaw-legs", "target": target_yaw},
-        ("time-yaw",),
-        target=(0.0, 0.0, 1.0),
-        target_yaw=target_yaw,
+    hold = (0.0, 0.0, 1.0)
+    return _flight(
+        _sname("yaw_leg_a", target_yaw),
+        abs(target_yaw) / _STOCK_LIMITS.max_yaw_rate + settle_s, hold,
+        {"experiment": "yaw-legs", "target": target_yaw}, ("time-yaw",),
+        target=hold, target_yaw=target_yaw, script=((0, Command.position(hold, target_yaw)),),
     )
 
 
 def build_battery(initial_charge: float) -> Variant:
     """Hover from the given initial charge until the battery empties."""
     expected = battery_time_to_empty(STOCK_MODEL, initial_charge)
-    scenario = Scenario(
-        name=_sname("battery_c", initial_charge),
-        dt=DT,
-        duration=_ticks(expected + 5.0),
-        drones=(
-            DroneSpec(id=DRONE_ID, position=(0.0, 0.0, 1.0), charge=initial_charge),
-        ),
-    )
-    return Variant(
-        scenario,
-        {
-            "experiment": "battery",
-            "initial_charge": initial_charge,
-            "expected_time_to_empty": expected,
-        },
-        ("time-charge",),
-    )
+    params = {"experiment": "battery", "initial_charge": initial_charge,
+              "expected_time_to_empty": expected}
+    return _flight(_sname("battery_c", initial_charge), expected + 5.0, (0.0, 0.0, 1.0),
+                   params, ("time-charge",), charge=initial_charge)
 
 
 def build_camera_calibration(lateral_offset: Optional[float] = None) -> Variant:
@@ -238,33 +190,22 @@ def build_camera_calibration(lateral_offset: Optional[float] = None) -> Variant:
         LightSpec("blue", (CALIBRATION_DEPTH, -CALIBRATION_OFFSET, z0), (0, 0, 255)),
         LightSpec("white", (CALIBRATION_DEPTH, 0.0, z0 - CALIBRATION_OFFSET), (255, 255, 255)),
     )
-    scenario = Scenario(
-        name="camera_calibration",
-        dt=DT,
-        duration=1,
-        drones=(
-            DroneSpec(id=DRONE_ID, position=(0.0, 0.0, z0), camera=CameraConfig()),
-        ),
-        lights=lights,
-    )
-    return Variant(
-        scenario,
-        {"experiment": "camera-calibration"},
-        (),
-    )
+    return _flight("camera_calibration", 1, (0.0, 0.0, z0), {"experiment": "camera-calibration"},
+                   (), camera=CameraConfig(), lights=lights)
 
 
-# name -> (builder, the variants() keyword that selects a single variant,
-#          the values run without it, whether the builder takes a settle time)
+# name -> (builder, the values run when no flag narrows them, the variants()
+#          keywords the experiment takes: first the one that selects a single
+#          value, then truncate_settle if the builder takes a settle time)
 _EXPERIMENTS = {
-    "line2d": (build_line2d, "speed", VELOCITY_SPEEDS, False),
-    "line3d": (build_line3d, "speed", VELOCITY_SPEEDS, False),
-    "altitude-steps": (build_altitude_steps, "speed", VELOCITY_SPEEDS, False),
-    "yaw-steps": (build_yaw_steps, "speed", YAW_RATES, False),
-    "position-legs": (build_position_leg, "leg", POSITION_LEGS, True),
-    "yaw-legs": (build_yaw_leg, "target", YAW_TARGETS, True),
-    "battery": (build_battery, "initial_charge", BATTERY_CHARGES, False),
-    "camera-calibration": (build_camera_calibration, None, (None,), False),
+    "line2d": (build_line2d, VELOCITY_SPEEDS, ("speed",)),
+    "line3d": (build_line3d, VELOCITY_SPEEDS, ("speed",)),
+    "altitude-steps": (build_altitude_steps, VELOCITY_SPEEDS, ("speed",)),
+    "yaw-steps": (build_yaw_steps, YAW_RATES, ("speed",)),
+    "position-legs": (build_position_leg, POSITION_LEGS, ("leg", "truncate_settle")),
+    "yaw-legs": (build_yaw_leg, YAW_TARGETS, ("target", "truncate_settle")),
+    "battery": (build_battery, BATTERY_CHARGES, ("initial_charge",)),
+    "camera-calibration": (build_camera_calibration, (None,), ()),
 }
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
@@ -280,19 +221,18 @@ def variants(
     """All scenario variants selected by an experiment name and its flags;
     a flag the experiment does not take (see ``_EXPERIMENTS``) raises FlagError."""
     try:
-        build, flag, defaults, settles = _EXPERIMENTS[name]
+        build, defaults, takes = _EXPERIMENTS[name]
     except KeyError:
         raise ValueError(
             f"unknown experiment {name!r}; valid names: "
             + ", ".join(EXPERIMENT_NAMES)
         ) from None
-    given = {"speed": speed, "initial_charge": initial_charge, "leg": leg, "target": target,
+    flags = {"speed": speed, "initial_charge": initial_charge, "leg": leg, "target": target,
              "truncate_settle": truncate_settle or None}
-    for key, value in given.items():
-        if value is not None and key not in (flag, "truncate_settle" if settles else None):
+    for key, value in flags.items():
+        if value is not None and key not in takes:
             raise FlagError(f"argument --{key.replace('_', '-')}: not taken by experiment {name}")
-    values = defaults if given.get(flag) is None else (given[flag],)
-    if not settles:
-        return [build(value) for value in values]
+    values = defaults if not takes or flags[takes[0]] is None else (flags[takes[0]],)
     settle = TRUNCATED_SETTLE_S if truncate_settle else SETTLE_S
-    return [build(value, settle) for value in values]
+    extra = (settle,) if "truncate_settle" in takes else ()
+    return [build(value, *extra) for value in values]

@@ -147,15 +147,6 @@ def summarize(
     )
 
 
-def extract_column(traj: Trajectory, column: str) -> list[float]:
-    """A named CSV column as a list of floats (id/tick are not numeric)."""
-    if column in ("tick", "id"):
-        raise ValueError(f"column {column!r} is not numeric telemetry")
-    if column not in TrajectoryRow._fields:
-        raise ValueError(f"unknown column {column!r}")
-    return [getattr(row, column) for row in traj.rows]
-
-
 def export_plot_columns(trajectories: Sequence[Trajectory], projection: str, sink) -> None:
     """Write whitespace-separated columns, one blank-line-separated block
     per trajectory, for generic plotting tools."""

@@ -247,13 +247,19 @@ def run_scenario(scenario: Scenario, n_ticks: Optional[int] = None):
 
 
 def _check_time(world: World, n_ticks: int) -> None:
-    """Refuse ticks whose time_s, up to (tick + n_ticks) * dt, overflows."""
+    """Refuse ticks whose time_s, up to (tick + n_ticks) * dt, overflows or
+    stops advancing. Float spacing only grows with magnitude, so the last
+    pair of ticks is the first whose times can be equal."""
+    last = world.tick + n_ticks
     try:
-        end = (world.tick + n_ticks) * world.dt
+        end = last * world.dt
     except OverflowError:  # a tick count beyond the float range
         end = math.inf
     if end == math.inf:
         raise ConfigurationError("time tick * dt of the last tick is not finite",
+                                 "[scenario] dt")
+    if end == (last - 1) * world.dt:
+        raise ConfigurationError("time tick * dt of the last tick equals the previous tick's",
                                  "[scenario] dt")
 
 
@@ -549,7 +555,6 @@ def _apply_waypoints(plan: WaypointPlan, drone: _Drone) -> None:
                 f"[waypoints {drone.spec.id}] speed",
             )
         drone.command = _world_velocity(linear)
-    drone.target = None
 
 
 def _switch(drone: _Drone, command: Command) -> None:

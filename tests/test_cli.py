@@ -139,6 +139,17 @@ class TestRun:
         code, out, err = run_cli(["run", doc, "--ticks", 1, "--out", tmp_path], capsys)
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("argv", [["position-legs", "--leg", "1e200"],
+                                      ["yaw-legs", "--target", "1e300"]])
+    def test_experiment_whose_time_stops_advancing_exits_2(self, argv, tmp_path, capsys):
+        # About 1e200 and 1.1e299 ticks, so far that n * dt == (n - 1) * dt:
+        # the run never finished, and its rows filled memory.
+        code, out, err = run_cli(["experiment", *argv, "--out-dir", tmp_path], capsys)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: [scenario] dt: ") and "previous tick" in line
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_corrupt_scenario_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text("[scenario]\nname = x\nduration = 1\noops no equals\n")

@@ -11,7 +11,6 @@ from dronesim.trajectory import (
     Trajectory,
     TrajectoryRow,
     export_plot_columns,
-    extract_column,
     format_row,
     mse,
     summarize,
@@ -213,19 +212,3 @@ class TestPlotExport:
     def test_empty_list(self):
         with pytest.raises(ValueError):
             export_plot_columns([], "xy", io.StringIO())
-
-
-class TestExtractColumn:
-    def test_known_column(self):
-        traj = Trajectory("cf1", [row(0, z=1.5), row(1, z=2.5)])
-        assert extract_column(traj, "z") == [1.5, 2.5]
-
-    def test_non_numeric_column_rejected(self):
-        traj = Trajectory("cf1", [row(0)])
-        with pytest.raises(ValueError):
-            extract_column(traj, "id")
-
-    def test_unknown_column_rejected(self):
-        traj = Trajectory("cf1", [row(0)])
-        with pytest.raises(ValueError, match="unknown column"):
-            extract_column(traj, "altitude")

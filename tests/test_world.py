@@ -739,6 +739,18 @@ def test_overflowing_time_is_rejected_before_the_first_tick():
     assert step(create_world(scenario)).tick == 1
 
 
+def test_time_that_stops_advancing_is_rejected():
+    # At tick 10**20 with dt = 0.1, (tick + 1) * dt == tick * dt: step()
+    # recorded the same time_s again, and a run that long never finished.
+    world = create_world(Scenario(name="stall", drones=(DroneSpec(id="cf1"),)))
+    world.tick = 10**20
+    for advance in (step, lambda w: run(w, 1), lambda w: run(w, 0)):
+        with pytest.raises(ConfigurationError, match=r"^\[scenario\] dt: .*previous tick"):
+            advance(world)
+    world.tick = 10**15  # dt is still far above the float spacing here
+    assert step(world).tick == 10**15 + 1
+
+
 def _bits(values):
     return [struct.pack("<d", v) for v in values]
 

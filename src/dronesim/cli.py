@@ -193,15 +193,16 @@ def _run_variant(variant: Variant, out_dir: Path, ticks: Optional[int] = None) -
 
 def _print_summary(name, traj: Trajectory, extra, summary) -> None:
     """One line: the run, its parameters, then every summary field in order.
-    Errors without a target are left out; no depletion prints as none."""
+    Errors without a target are left out; no depletion prints as none.
+    Floats get +0.0 first, as in the CSV rows, which folds negative zero."""
     parts = [f"scenario={name}", f"drone={traj.drone_id}", f"rows={len(traj.rows)}"]
     for key, value in extra.items():
-        parts.append(f"{key}={value:.6f}" if isinstance(value, float) else f"{key}={value}")
+        parts.append(f"{key}={value + 0.0:.6f}" if isinstance(value, float) else f"{key}={value}")
     for key, value in summary._asdict().items():
         if key == "final_position":
-            parts.append(f"{key}=" + ",".join(f"{v:.6f}" for v in value))
+            parts.append(f"{key}=" + ",".join(f"{v + 0.0:.6f}" for v in value))
         elif value is not None:
-            parts.append(f"{key}={value:.6f}")
+            parts.append(f"{key}={value + 0.0:.6f}")
         elif key == "time_to_zero_charge":
             parts.append(f"{key}=none")
     print(" ".join(parts))

@@ -362,11 +362,10 @@ def resolve_position_target(state: DroneState, cmd: Command) -> tuple[Vec3, floa
     return target, target_yaw
 
 
-def next_pose(x, y, z, yaw, velocity: Vec3, yaw_rate: float, dt: float):
-    """Semi-implicit Euler step of a pose: the new velocity moves the new
-    position. Returns (x, y, z, yaw) with yaw wrapped to (-180, 180] and
-    nothing clamped, not even at the ground."""
-    vx, vy, vz = velocity
+def next_pose(x, y, z, yaw, vx, vy, vz, yaw_rate: float, dt: float):
+    """Semi-implicit Euler step of a pose: the new velocity (vx, vy, vz) and
+    yaw rate move the new position and yaw. Returns (x, y, z, yaw) with yaw
+    wrapped to (-180, 180] and nothing clamped, not even at the ground."""
     return x + vx * dt, y + vy * dt, z + vz * dt, wrap_deg(yaw + yaw_rate * dt)
 
 
@@ -375,7 +374,8 @@ def integrate(state: DroneState, new_velocity: Vec3, new_yaw_rate: float, dt: fl
 
     Yaw wraps to (-180, 180]; altitude is floored at the ground (z >= 0).
     """
-    x, y, z, yaw = next_pose(*state.position, state.yaw, new_velocity, new_yaw_rate, dt)
+    vx, vy, vz = new_velocity
+    x, y, z, yaw = next_pose(*state.position, state.yaw, vx, vy, vz, new_yaw_rate, dt)
     if z < 0.0:
         z = 0.0
     return DroneState((x, y, z), yaw, new_velocity, new_yaw_rate, state.charge)

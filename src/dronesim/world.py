@@ -5,9 +5,9 @@ in fixed dt ticks. The per-tick phase order is a hard contract (required for
 determinism and pinned by tests):
 
     1. controllers  -- scripts/waypoint plans update commands, PD loops
-                       compute the new velocity and yaw rate
-    2. kinematics   -- semi-implicit Euler integration, arena clamping,
-                       optional seeded position jitter
+                       store the new velocity and yaw rate on the drone
+    2. kinematics   -- semi-implicit Euler integration of that stored
+                       motion, arena clamping, optional seeded jitter
     3. battery      -- discharge curve advances; a drone whose charge
                        reaches 0 is grounded (velocity zeroed, altitude 0)
     4. media        -- staged LED states become visible; messages staged
@@ -21,8 +21,9 @@ Consequences: a message sent at tick k is readable exactly at tick k+1, an
 LED change is visible to cameras starting the next tick, and composing runs
 is associative (run(w, a+b) == run(w, a) then run(., b), row for row).
 Sensing costs nothing until it is read: a drone's ``inbox`` and
-``detections`` hold the same values the tick would have computed, and they
-are ``[]`` before the first tick.
+``detections`` hold the same values the tick would have computed. At tick 0
+there are no deliveries, so ``inbox`` is ``[]``, while ``detections`` see the
+starting LEDs and lights.
 
 ``step`` is pure: it returns a new world and never mutates its input.
 Stepping one world is strictly single-threaded; distinct worlds may run in
@@ -100,7 +101,7 @@ class _Drone:
         self.led_on = spec.led_on
         self.led_staged_color = spec.led_color
         self.led_staged_on = spec.led_on
-        self.outbox: list[bytes] = []
+        self.outbox: tuple[bytes, ...] = ()  # extended by rebinding, so copies share it
         self._inbox = self._detections = None
         self.script_idx = 0
         self.waypoint_idx = 0
@@ -114,14 +115,9 @@ class _Drone:
 
     @property
     def detections(self) -> list[Detection]:
-        """The camera's detections this tick; [] without a camera and
-        before the first tick."""
+        """The camera's detections this tick; [] without a camera."""
         if self._detections is None:
-            world = self.world
-            if self.spec.camera is None or world.deliveries is None:
-                self._detections = []
-            else:
-                self._detections = _capture(world, self)
+            self._detections = [] if self.spec.camera is None else _capture(self.world, self)
         return self._detections
 
     def state(self) -> DroneState:
@@ -148,7 +144,7 @@ class _Drone:
         other.led_on = self.led_on
         other.led_staged_color = self.led_staged_color
         other.led_staged_on = self.led_staged_on
-        other.outbox = list(self.outbox)
+        other.outbox = self.outbox
         other.script_idx = self.script_idx
         other.waypoint_idx = self.waypoint_idx
         other._inbox = other._detections = None
@@ -175,8 +171,8 @@ class World:
         self.lights = tuple(scenario.lights)
         self.rng = rng
         # This tick's messages, one (position, id, range_m, payloads) entry
-        # per sender in id order; None until the first tick.
-        self.deliveries: Optional[tuple] = None
+        # per sender in id order; none at tick 0.
+        self.deliveries: tuple = ()
         for d in drones:
             d.world = self
 
@@ -296,7 +292,7 @@ def rab_send(world: World, drone_id: str, payload: bytes) -> None:
             f"payload of {len(payload)} bytes exceeds maximum "
             f"{drone.spec.rab.payload_max}"
         )
-    drone.outbox.append(bytes(payload))
+    drone.outbox += (bytes(payload),)
 
 
 def rab_read(world: World, drone_id: str) -> list[RabReading]:
@@ -305,7 +301,8 @@ def rab_read(world: World, drone_id: str) -> list[RabReading]:
 
 
 def camera_capture(world: World, drone_id: str) -> list[Detection]:
-    """Project all lights and other drones' lit LEDs through this drone's camera.
+    """A copy of the drone's ``detections``: all lights and other drones'
+    lit LEDs projected through its camera, tick 0 included.
 
     Detections are sorted by (u, v, source id). The drone's own LED is never
     included and there is no occlusion test.
@@ -313,17 +310,12 @@ def camera_capture(world: World, drone_id: str) -> list[Detection]:
     drone = world.drone(drone_id)
     if drone.spec.camera is None:
         raise CapabilityError(f"drone {drone_id!r} has no camera")
-    if world.deliveries is None:
-        # Before the first tick: project now, ``drone.detections`` stays [].
-        return _capture(world, drone)
     return list(drone.detections)
 
 
 def _receive(deliveries, receiver: _Drone) -> list[RabReading]:
     """The readings of this tick's deliveries within range of ``receiver``."""
     received = []
-    if not deliveries:
-        return received
     rx, ry, rz = receiver_position = (receiver.x, receiver.y, receiver.z)
     receiver_yaw = receiver.yaw
     receiver_id = receiver.spec.id
@@ -369,10 +361,10 @@ def _advance(world: World) -> None:
     dt = world.dt
     tick = world.tick
 
-    # Phase 1: scripts/guidance update commands, controllers compute motion.
+    # Phase 1: scripts/guidance update commands, controllers store the new
+    # motion on each drone for phase 2 (no step here reads another drone).
     scripts = scenario.scripts
     waypoints = scenario.waypoints
-    new_motion = []
     for drone in world.drones:
         spec = drone.spec
         entries = scripts.get(spec.id)
@@ -382,17 +374,16 @@ def _advance(world: World) -> None:
         if plan is not None:
             _apply_waypoints(plan, drone)
         if spec.rab_broadcast is not None:
-            drone.outbox.append(spec.rab_broadcast)
+            drone.outbox += (spec.rab_broadcast,)
         # The state is drone.state(), built here: a method call less.
         state = _new_tuple(DroneState, (
             (drone.x, drone.y, drone.z), drone.yaw,
             (drone.vx, drone.vy, drone.vz), drone.yaw_rate, drone.charge,
         ))
-        velocity, yaw_rate, drone.memory = drone_control_step(
+        (drone.vx, drone.vy, drone.vz), drone.yaw_rate, drone.memory = drone_control_step(
             state, drone.memory, drone.command, drone.target,
             spec.gains, spec.limits, dt,
         )
-        new_motion.append((velocity, yaw_rate))
 
     # Phase 2: kinematics (semi-implicit Euler) + arena clamp + noise hook.
     # Jitter is x, y, z per drone in registry order, grounded drones too.
@@ -404,12 +395,10 @@ def _advance(world: World) -> None:
         draws = iter(_gauss_batch(
             world.rng, scenario.noise_position_std, 3 * len(world.drones)))
         jitter = zip(draws, draws, draws)
-    for drone, (velocity, yaw_rate), offset in zip(world.drones, new_motion, jitter):
-        drone.vx, drone.vy, drone.vz = velocity
-        drone.yaw_rate = yaw_rate
+    for drone, offset in zip(world.drones, jitter):
         try:
             x, y, z, drone.yaw = next_pose(drone.x, drone.y, drone.z, drone.yaw,
-                                           velocity, yaw_rate, dt)
+                                           drone.vx, drone.vy, drone.vz, drone.yaw_rate, dt)
         except ValueError as exc:  # wrap_deg of an infinite yaw
             raise _overflow(drone, tick) from exc
         if offset is not None:
@@ -446,9 +435,9 @@ def _advance(world: World) -> None:
         if drone.outbox:
             senders.append((
                 (drone.x, drone.y, drone.z), drone.spec.id,
-                drone.spec.rab.range_m, tuple(drone.outbox),
+                drone.spec.rab.range_m, drone.outbox,
             ))
-            drone.outbox = []
+            drone.outbox = ()
     # Each inbox lists its readings by sender id; taking the senders in id
     # order builds it sorted.
     senders.sort(key=lambda entry: entry[1])

@@ -57,6 +57,23 @@ class TestRun:
         b = (b_dir / "leg_x_1m_cf1.csv").read_bytes()
         assert a == b
 
+    def test_summary_folds_negative_zero(self, tmp_path, capsys):
+        # The CSV rows printed 0.000000 while the summary line printed
+        # -0.000000 for the same values.
+        doc = tmp_path / "signed.scn"
+        doc.write_text((SCENARIOS / "hover.scn").read_text().replace(
+            "position = 0 0 1", "position = -0.0 0 1\nyaw = -0.0"))
+        code, out, _ = run_cli(["run", doc, "--ticks", 0, "--out", tmp_path], capsys)
+        assert code == 0
+        assert "final_position=0.000000,0.000000,1.000000 final_yaw=0.000000 " in out
+        assert "-0.000000" not in out
+        row = (tmp_path / "hover_cf1.csv").read_text().splitlines()[1]
+        assert row.split(",")[3:7] == ["0.000000", "0.000000", "1.000000", "0.000000"]
+        code, out, _ = run_cli(["experiment", "position-legs", "--leg", "-0.0",
+                                "--out-dir", tmp_path], capsys)
+        assert code == 0
+        assert " leg=0.000000 " in out and "-0.000000" not in out
+
     def test_ticks_override(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["run", SCENARIOS / "hover.scn", "--ticks", 10, "--out", tmp_path],

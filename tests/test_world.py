@@ -394,6 +394,25 @@ class TestLedAndCamera:
         detections = camera_capture(world, "cf1")
         assert [d.u for d in detections] == sorted(d.u for d in detections)
 
+    def test_detections_are_the_capture_from_tick_0(self):
+        # Tick 0 has no deliveries, but its camera already sees the starting
+        # LEDs and lights. ``.detections`` once read [] there while
+        # camera_capture projected.
+        scenario = Scenario(
+            name="start",
+            duration=1,
+            drones=(
+                DroneSpec(id="cf1", position=(0.0, 0.0, 1.0), camera=CameraConfig()),
+                DroneSpec(id="lit", position=(1.0, 0.0, 1.0), led_on=True),
+            ),
+            lights=(LightSpec("lamp", (1.4, 0.5, 1.0), (0, 0, 255)),),
+        )
+        world = create_world(scenario)
+        drone = world.drone("cf1")
+        assert sorted(d.source_id for d in drone.detections) == ["lamp", "lit"]
+        assert drone.detections == camera_capture(world, "cf1")
+        assert drone.inbox == []
+
 
 class TestWaypointGuidance:
     def test_leg_tracks_and_parks(self):
@@ -411,6 +430,21 @@ class TestWaypointGuidance:
         assert math.dist((final.x, final.y, final.z), (1.0, 0.0, 1.0)) < 0.01
         peak = max(math.sqrt(r.vx**2 + r.vy**2 + r.vz**2) for r in rows)
         assert peak == pytest.approx(1.0, abs=1e-9)
+
+    def test_waypoint_at_the_drone_hovers_one_tick(self):
+        # The first point is reached at once; the second sits where the drone
+        # is, so guidance hovers for one tick before steering at the third.
+        scenario = Scenario(
+            name="wp",
+            duration=3,
+            drones=(DroneSpec(id="cf1", position=(0.0, 0.0, 1.0)),),
+            waypoints={"cf1": WaypointPlan(
+                speed=0.5, points=((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (0.5, 0.0, 1.0)))},
+        )
+        world, trajs = run_scenario(scenario)
+        assert [r.x for r in trajs["cf1"].rows] == [0.0, 0.0, 0.05, 0.1]
+        assert [r.vx for r in trajs["cf1"].rows] == [0.0, 0.0, 0.5, 0.5]
+        assert world.drone("cf1").waypoint_idx == 2
 
 
 # --------------------------------------------------------------------------
@@ -441,11 +475,13 @@ def eager_sensing(before, after):
     (None at tick 0), as the eager phase 4 and 5 computed them; ``capture``
     is what ``camera_capture`` returns (None without a camera)."""
     if before is None:
+        # Tick 0: nothing delivered yet, but cameras see the starting LEDs.
         leds = {d.spec.id: (d.led_color, d.led_on) for d in after.drones}
-        return {
-            d.spec.id: ([], [], None if d.spec.camera is None else eager_capture(after, d, leds))
-            for d in after.drones
-        }
+        out = {}
+        for d in after.drones:
+            capture = None if d.spec.camera is None else eager_capture(after, d, leds)
+            out[d.spec.id] = ([], capture or [], capture)
+        return out
     # Phase 1 queues each drone's broadcast after what was staged by hand;
     # phase 4 publishes the staged LED states.
     outboxes = {}
@@ -634,6 +670,31 @@ def test_sensing_is_computed_only_when_read(monkeypatch):
     assert calls == {**flown, "make_reading": 6 * 5, "_capture": 3}
 
 
+def test_stepping_one_world_twice_after_rab_send():
+    # A queued message is a tuple shared with every copy of the world; the
+    # tick rebinds the copy's outbox, so the input's queue stays as sent.
+    drones = (
+        DroneSpec(id="a", position=(0.0, 0.0, 1.0), rab_broadcast=b"beat"),
+        DroneSpec(id="b", position=(1.0, 0.0, 1.0)),
+    )
+    world = step(create_world(Scenario(name="twice", duration=0, drones=drones)))
+    rab_send(world, "a", b"one")
+    rab_send(world, "b", b"two")
+    queued = {d.spec.id: d.outbox for d in world.drones}
+    assert queued == {"a": (b"one",), "b": (b"two",)}
+
+    def sensed(stepped):
+        return [(d.state(), rab_read(stepped, d.spec.id)) for d in stepped.drones]
+
+    first, second = step(world), step(world)
+    assert sensed(first) == sensed(second)
+    assert [r.payload for r in rab_read(first, "b")] == [b"one", b"beat"]
+    assert [r.payload for r in rab_read(first, "a")] == [b"two"]
+    (end_first, rows_first), (end_second, rows_second) = run(world, 3), run(world, 3)
+    assert rows_first == rows_second and sensed(end_first) == sensed(end_second)
+    assert all(d.outbox is queued[d.spec.id] for d in world.drones)
+
+
 @pytest.mark.parametrize("route", ["World.copy", "step", "run"])
 def test_drone_copy_carries_every_slot(route, monkeypatch):
     # _Drone.copy lists the slots by hand: deriving it from __slots__ made a
@@ -641,11 +702,10 @@ def test_drone_copy_carries_every_slot(route, monkeypatch):
     world = create_world(hover_scenario())
     drone = world.drones[0]
     fresh = ("world", "_inbox", "_detections")
-    values = {name: object() for name in world_mod._Drone.__slots__
-              if name not in ("spec", "outbox")}
+    # The outbox is an immutable tuple, so a copy shares it like any value.
+    values = {name: object() for name in world_mod._Drone.__slots__ if name != "spec"}
     for name, value in values.items():
         setattr(drone, name, value)
-    outbox = drone.outbox = [b"queued"]
     if route == "World.copy":
         clone = world.copy()
     elif route == "step":
@@ -655,13 +715,11 @@ def test_drone_copy_carries_every_slot(route, monkeypatch):
         clone = run(world, 0)[0]
     other = clone.drones[0]
     assert other.spec is drone.spec
-    assert other.outbox == [b"queued"] and other.outbox is not outbox
     assert other.world is clone and other._inbox is other._detections is None
     for name, value in values.items():
         if name not in fresh:
             assert getattr(other, name) is value, name
-    assert drone.outbox is outbox and all(
-        getattr(drone, name) is value for name, value in values.items())
+    assert all(getattr(drone, name) is value for name, value in values.items())
 
 
 def test_overflowing_guidance_is_rejected_not_simulated():

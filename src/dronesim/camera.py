@@ -73,7 +73,11 @@ _new_detection = tuple.__new__
 def detect_sources(cam_pos, cos_yaw, sin_yaw, tan_half, sources) -> list[Detection]:
     """Detections of (x, y, z, color, source_id) sources, sorted by (u, v, id).
 
-    Projection core shared with the world's capture loop (precomputed trig).
+    Projection core shared with the world's capture loop (precomputed trig),
+    which passes every capture of a tick the same source table, the camera's
+    own LED included. A source must lie strictly in front of the plane
+    through the camera across its optical axis, so one at the camera
+    position is never detected.
     """
     cx, cy, cz = cam_pos
     last = RESOLUTION - 1

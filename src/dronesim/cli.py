@@ -217,7 +217,13 @@ def _cmd_metrics(args) -> int:
         )
     if not col_a:
         raise _InputError("no data rows")
-    print(f"mse={mse(col_a, col_b):.6f}")
+    for path, column in ((args.file_a, col_a), (args.file_b, col_b)):
+        if not all(map(math.isfinite, column)):
+            raise _InputError(f"{path}: non-finite value in {args.column!r}")
+    error = mse(col_a, col_b)
+    if not math.isfinite(error):
+        raise _InputError(f"mse of {args.column!r} overflows the float range")
+    print(f"mse={error:.6f}")
     return EXIT_OK
 
 

@@ -11,10 +11,15 @@ determinism and pinned by tests):
     3. battery      -- discharge curve advances; a drone whose charge
                        reaches 0 is grounded (velocity zeroed, altitude 0)
     4. media        -- staged LED states become visible; messages staged
-                       last tick are recorded as this tick's deliveries
+                       last tick become each sender's ``sent``, delivered
+                       this tick
     5. sensors      -- no work in the tick: readings (range/bearing at
                        delivery time) and detections are computed on first
-                       read from the tick's snapshot, then cached
+                       read from the tick's snapshot, then cached. The
+                       first read builds the tick's table it needs: the
+                       senders in id order, or the camera sources (the
+                       lights, then every lit drone). Every read of the
+                       tick and every copy of the world share the tables.
     6. logging      -- the caller records trajectory rows (see run())
 
 Consequences: a message sent at tick k is readable exactly at tick k+1, an
@@ -35,6 +40,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import repeat
+from operator import itemgetter
 from typing import Optional
 
 from .camera import Detection, detect_sources
@@ -74,7 +80,9 @@ class _Drone:
         "spec", "x", "y", "z", "yaw", "vx", "vy", "vz", "yaw_rate", "charge",
         "command", "target", "memory", "battery_t", "depleted",
         "led_color", "led_on", "led_staged_color", "led_staged_on",
-        "outbox", "script_idx", "waypoint_idx",
+        # Payloads queued this tick, and those queued last tick, which
+        # this tick delivers.
+        "outbox", "sent", "script_idx", "waypoint_idx",
         # The world this record belongs to, and the sensing computed from
         # its current tick (None until first read).
         "world", "_inbox", "_detections",
@@ -101,7 +109,9 @@ class _Drone:
         self.led_on = spec.led_on
         self.led_staged_color = spec.led_color
         self.led_staged_on = spec.led_on
-        self.outbox: tuple[bytes, ...] = ()  # extended by rebinding, so copies share it
+        # Both extended or replaced by rebinding, so copies share them.
+        self.outbox: tuple[bytes, ...] = ()
+        self.sent: tuple[bytes, ...] = ()
         self._inbox = self._detections = None
         self.script_idx = 0
         self.waypoint_idx = 0
@@ -110,7 +120,7 @@ class _Drone:
     def inbox(self) -> list[RabReading]:
         """Messages delivered this tick (sent last tick), sorted by sender id."""
         if self._inbox is None:
-            self._inbox = _receive(self.world.deliveries, self)
+            self._inbox = _receive(_deliveries(self.world), self)
         return self._inbox
 
     @property
@@ -126,9 +136,10 @@ class _Drone:
             (self.vx, self.vy, self.vz), self.yaw_rate, self.charge,
         ))
 
-    def copy(self) -> "_Drone":
-        """A copy for the next world, which sets ``world``; no sensing yet."""
+    def copy(self, world: "World") -> "_Drone":
+        """A copy belonging to ``world``, with no sensing yet."""
         other = _Drone.__new__(_Drone)
+        other.world = world
         other.spec = self.spec
         other.x, other.y, other.z = self.x, self.y, self.z
         other.yaw = self.yaw
@@ -145,6 +156,7 @@ class _Drone:
         other.led_staged_color = self.led_staged_color
         other.led_staged_on = self.led_staged_on
         other.outbox = self.outbox
+        other.sent = self.sent
         other.script_idx = self.script_idx
         other.waypoint_idx = self.waypoint_idx
         other._inbox = other._detections = None
@@ -158,21 +170,30 @@ class World:
     operations (:func:`set_led`, :func:`rab_send`) nothing mutates them.
     """
 
-    __slots__ = ("scenario", "tick", "dt", "drones", "index", "lights", "rng",
-                 "deliveries")
+    __slots__ = (
+        # The run's frame, built once and shared by every copy.
+        "scenario", "dt", "index", "lights", "_light_sources",
+        # This tick's state, and its tables of senders and of camera
+        # sources, each None until the tick's first read that needs it.
+        "tick", "drones", "rng", "_deliveries", "_sources",
+    )
 
     def __init__(self, scenario: Scenario, drones: list[_Drone], tick: int = 0,
                  rng: Optional[random.Random] = None):
         self.scenario = scenario
-        self.tick = tick
         self.dt = scenario.dt
-        self.drones = drones
-        self.index = {d.spec.id: d for d in drones}
+        # Drone id -> registry position, the same in every copy.
+        self.index = {d.spec.id: i for i, d in enumerate(drones)}
         self.lights = tuple(scenario.lights)
+        self._light_sources = [
+            (light.position[0], light.position[1], light.position[2],
+             light.color, light.id)
+            for light in self.lights
+        ]
+        self.tick = tick
+        self.drones = drones
         self.rng = rng
-        # This tick's messages, one (position, id, range_m, payloads) entry
-        # per sender in id order; none at tick 0.
-        self.deliveries: tuple = ()
+        self._deliveries = self._sources = None
         for d in drones:
             d.world = self
 
@@ -181,19 +202,29 @@ class World:
         return self.tick * self.dt
 
     def copy(self) -> "World":
-        rng = None
+        """A world at the same tick: it shares the run's frame and this
+        tick's read-only tables, and owns copies of the drones and rng."""
+        clone = World.__new__(World)
+        clone.scenario = self.scenario
+        clone.dt = self.dt
+        clone.index = self.index
+        clone.lights = self.lights
+        clone._light_sources = self._light_sources
+        clone.tick = self.tick
+        clone.drones = [d.copy(clone) for d in self.drones]
+        clone.rng = None
         if self.rng is not None:
             # No __init__: it seeds from os.urandom, and setstate overwrites
             # that seed and gauss_next anyway.
-            rng = random.Random.__new__(random.Random)
-            rng.setstate(self.rng.getstate())
-        clone = World(self.scenario, [d.copy() for d in self.drones], self.tick, rng)
-        clone.deliveries = self.deliveries
+            clone.rng = random.Random.__new__(random.Random)
+            clone.rng.setstate(self.rng.getstate())
+        clone._deliveries = self._deliveries
+        clone._sources = self._sources
         return clone
 
     def drone(self, drone_id: str) -> _Drone:
         try:
-            return self.index[drone_id]
+            return self.drones[self.index[drone_id]]
         except KeyError:
             raise KeyError(f"unknown drone {drone_id!r}") from None
 
@@ -304,13 +335,35 @@ def camera_capture(world: World, drone_id: str) -> list[Detection]:
     """A copy of the drone's ``detections``: all lights and other drones'
     lit LEDs projected through its camera, tick 0 included.
 
-    Detections are sorted by (u, v, source id). The drone's own LED is never
-    included and there is no occlusion test.
+    Detections are sorted by (u, v, source id); there is no occlusion test.
+    Every capture of a tick projects the same source table, the lights and
+    then every lit drone. The drone's own LED sits at the camera, so it is
+    never detected, and neither is any source at exactly that position.
     """
     drone = world.drone(drone_id)
     if drone.spec.camera is None:
         raise CapabilityError(f"drone {drone_id!r} has no camera")
     return list(drone.detections)
+
+
+_sender_id = itemgetter(1)
+
+
+def _deliveries(world: World) -> list:
+    """This tick's messages, one (position, id, range_m, payloads) entry
+    per sender in id order; built on the tick's first read."""
+    deliveries = world._deliveries
+    if deliveries is None:
+        deliveries = [
+            ((d.x, d.y, d.z), d.spec.id, d.spec.rab.range_m, d.sent)
+            for d in world.drones
+            if d.sent
+        ]
+        # Each inbox lists its readings by sender id; taking the senders in
+        # id order builds it sorted.
+        deliveries.sort(key=_sender_id)
+        world._deliveries = deliveries
+    return deliveries
 
 
 def _receive(deliveries, receiver: _Drone) -> list[RabReading]:
@@ -338,15 +391,13 @@ def _receive(deliveries, receiver: _Drone) -> list[RabReading]:
 def _capture(world: World, drone: _Drone) -> list[Detection]:
     config = drone.spec.camera
     yaw = math.radians(drone.yaw + config.mount_yaw_offset_deg)
-    sources = [
-        (light.position[0], light.position[1], light.position[2],
-         light.color, light.id)
-        for light in world.lights
-    ] + [
-        (other.x, other.y, other.z, other.led_color, other.spec.id)
-        for other in world.drones
-        if other.led_on and other is not drone
-    ]
+    sources = world._sources
+    if sources is None:
+        sources = world._sources = world._light_sources + [
+            (other.x, other.y, other.z, other.led_color, other.spec.id)
+            for other in world.drones
+            if other.led_on
+        ]
     return detect_sources(
         (drone.x, drone.y, drone.z), math.cos(yaw), math.sin(yaw),
         config.tan_half_aperture, sources,
@@ -425,23 +476,15 @@ def _advance(world: World) -> None:
         drone.yaw_rate = 0.0
         drone.z = 0.0
 
-    # Phase 4: media -- publish staged LEDs and record the deliveries, which
-    # drop the sensing cached for the previous tick.
-    senders = []
+    # Phase 4: media -- publish staged LEDs and send the queued messages,
+    # which drops the sensing cached for the previous tick.
+    world._deliveries = world._sources = None
     for drone in world.drones:
         drone.led_color = drone.led_staged_color
         drone.led_on = drone.led_staged_on
         drone._inbox = drone._detections = None
-        if drone.outbox:
-            senders.append((
-                (drone.x, drone.y, drone.z), drone.spec.id,
-                drone.spec.rab.range_m, drone.outbox,
-            ))
-            drone.outbox = ()
-    # Each inbox lists its readings by sender id; taking the senders in id
-    # order builds it sorted.
-    senders.sort(key=lambda entry: entry[1])
-    world.deliveries = tuple(senders)
+        drone.sent = drone.outbox
+        drone.outbox = ()
 
     # Phase 5: sensors -- nothing to do; see _Drone.inbox and .detections.
 

@@ -45,6 +45,11 @@ def library(call, *args, **kwargs):
 HEADER_ONLY = ("empty.csv", "tick,x\n")
 NON_NUMERIC = ("bad.csv", "tick,x\n0,abc\n")
 NAN_SAMPLE = ("fit.csv", "time_s,charge\n0,1\n1,0.9\n2,nan\n3,0.7\n")
+FINITE = ("finite.csv", "tick,x\n0,1\n1,2\n")
+NAN_COLUMN = ("nan.csv", "tick,x\n0,1\n1,nan\n")
+INF_COLUMN = ("inf.csv", "tick,x\n0,-inf\n1,2\n")
+HIGH_CHARGE = ("high.csv", "charge\n1e308\n")
+LOW_CHARGE = ("low.csv", "charge\n-1e308\n")
 
 # (case, exit code or exception type, last stderr line or match pattern)
 CASES = [
@@ -114,6 +119,15 @@ CASES = [
     pytest.param(command("metrics", "mse", "{tmp}/bad.csv", "{tmp}/bad.csv",
                          "--column", "x", files=[NON_NUMERIC]), 2,
                  "error: {tmp}/bad.csv: non-numeric value in 'x'", id="metrics-non-numeric"),
+    pytest.param(command("metrics", "mse", "{tmp}/finite.csv", "{tmp}/nan.csv",
+                         "--column", "x", files=[FINITE, NAN_COLUMN]), 2,
+                 "error: {tmp}/nan.csv: non-finite value in 'x'", id="metrics-nan"),
+    pytest.param(command("metrics", "mse", "{tmp}/inf.csv", "{tmp}/finite.csv",
+                         "--column", "x", files=[FINITE, INF_COLUMN]), 2,
+                 "error: {tmp}/inf.csv: non-finite value in 'x'", id="metrics-inf"),
+    pytest.param(command("metrics", "mse", "{tmp}/high.csv", "{tmp}/low.csv",
+                         "--column", "charge", files=[HIGH_CHARGE, LOW_CHARGE]), 2,
+                 "error: mse of 'charge' overflows the float range", id="metrics-overflow"),
     # Library entry points
     pytest.param(library(resolve_position_target,
                          DroneState((0.0, 0.0, 1.0), 0.0, (0.0, 0.0, 0.0), 0.0, 1.0),

@@ -328,17 +328,27 @@ class TestLedAndCamera:
             # dead ahead, up to trig round-off at the pixel-center boundary
             assert abs(detections[0].u - 160) <= 1
 
-    def test_own_led_never_detected(self):
+    @settings(max_examples=200, deadline=None)
+    @given(
+        position=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.0, 3.0)),
+        yaw=st.floats(-180.0, 180.0),
+        camera=st.builds(CameraConfig, aperture_deg=st.floats(1.0, 179.0),
+                         mount_yaw_offset_deg=st.floats(-720.0, 720.0)),
+    )
+    def test_own_led_never_detected(self, position, yaw, camera):
+        # The drone's own LED is in the tick's source table, at the camera,
+        # so the projection rejects it whatever the yaw and mount offset.
         scenario = Scenario(
             name="selfie",
             duration=2,
             drones=(
-                DroneSpec(id="solo", position=(0.0, 0.0, 1.0),
-                          camera=CameraConfig(), led_on=True),
+                DroneSpec(id="solo", position=position, yaw=yaw,
+                          camera=camera, led_on=True),
             ),
         )
         world = create_world(scenario)
         assert camera_capture(world, "solo") == []
+        assert [source[4] for source in world._sources] == ["solo"]
 
     def test_scenario_lights_detected(self):
         scenario = Scenario(
@@ -720,6 +730,98 @@ def test_drone_copy_carries_every_slot(route, monkeypatch):
         if name not in fresh:
             assert getattr(other, name) is value, name
     assert all(getattr(drone, name) is value for name, value in values.items())
+
+
+def test_world_copy_carries_every_slot():
+    # World.copy lists its slots by hand, as _Drone.copy does. A copy shares
+    # the run's frame and this tick's tables, and owns its drones and
+    # generator; a slot missing from either list fails here.
+    scenario = Scenario(
+        name="copy", duration=0, noise_seed=3, noise_position_std=0.01,
+        drones=tuple(DroneSpec(id=f"cf{i}", position=(0.5 * i, 0.0, 1.0)) for i in range(3)),
+    )
+    shared = ("scenario", "dt", "index", "lights", "_light_sources",
+              "tick", "_deliveries", "_sources")
+    own = ("drones", "rng")
+    assert sorted(shared + own) == sorted(world_mod.World.__slots__)
+    world = create_world(scenario)
+    clone = world.copy()
+    assert clone.drones is not world.drones
+    for drone_id in ("cf0", "cf1", "cf2"):
+        other = clone.drone(drone_id)
+        assert other.world is clone and other.spec.id == drone_id
+        assert other is not world.drone(drone_id)
+        assert other.state() == world.drone(drone_id).state()
+    assert clone.rng is not world.rng and clone.rng.getstate() == world.rng.getstate()
+    values = {name: object() for name in shared}
+    for name, value in values.items():
+        setattr(world, name, value)
+    clone = world.copy()
+    for name, value in values.items():
+        assert getattr(clone, name) is value, name
+
+
+def camera_row(*positions, lit=True, lights=()):
+    """Drones cf0, cf1, ... with cameras and LEDs, all looking along +x."""
+    return create_world(Scenario(
+        name="row", duration=0,
+        drones=tuple(
+            DroneSpec(id=f"cf{i}", position=position, camera=CameraConfig(), led_on=lit)
+            for i, position in enumerate(positions)
+        ),
+        lights=lights,
+    ))
+
+
+def test_drone_at_the_camera_position_is_not_detected():
+    world = camera_row((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (1.0, 0.0, 1.0))
+    assert [d.source_id for d in camera_capture(world, "cf0")] == ["cf2"]
+    assert [d.source_id for d in camera_capture(world, "cf1")] == ["cf2"]
+
+
+def test_light_sharing_the_drones_id_is_detected():
+    # Light and drone ids are separate namespaces: only the position of a
+    # source decides whether the camera sees it.
+    world = camera_row((0.0, 0.0, 1.0), lights=(LightSpec("cf0", (1.0, 0.0, 1.0), (0, 0, 255)),))
+    assert [(d.source_id, d.color) for d in camera_capture(world, "cf0")] == [
+        ("cf0", (0, 0, 255))]
+
+
+def test_reads_of_one_tick_share_its_tables():
+    # The first read of a tick builds its sender table or camera source
+    # table; later reads and copies of that world use it, and the next
+    # tick, stepped or advanced in place, builds its own.
+    scenario = Scenario(
+        name="tables", duration=0,
+        drones=tuple(
+            DroneSpec(id=f"cf{i}", position=(0.5 * i, 0.0, 1.0), camera=CameraConfig(),
+                      led_on=True, rab_broadcast=b"hi")
+            for i in range(3)
+        ),
+        lights=(LightSpec("lamp", (1.4, 0.0, 2.0)),),
+    )
+    world = step(create_world(scenario))
+    assert world._deliveries is None and world._sources is None
+    for drone_id in ("cf0", "cf1", "cf2"):
+        rab_read(world, drone_id)
+        camera_capture(world, drone_id)
+        if drone_id == "cf0":
+            deliveries, sources = world._deliveries, world._sources
+        assert world._deliveries is deliveries and world._sources is sources
+    assert [entry[1] for entry in deliveries] == ["cf0", "cf1", "cf2"]
+    assert [source[4] for source in sources] == ["lamp", "cf0", "cf1", "cf2"]
+    copy = world.copy()
+    assert copy._deliveries is deliveries and copy._sources is sources
+    stepped = step(world)
+    in_place = world.copy()
+    world_mod._advance(in_place)
+    for later in (stepped, in_place):
+        assert later._deliveries is None and later._sources is None
+        rab_read(later, "cf0")
+        camera_capture(later, "cf0")
+        assert later._deliveries is not deliveries and later._sources is not sources
+        assert later._deliveries == deliveries and later._sources == sources
+    assert world._deliveries is deliveries and world._sources is sources
 
 
 def test_overflowing_guidance_is_rejected_not_simulated():

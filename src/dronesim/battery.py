@@ -116,29 +116,20 @@ object.__setattr__(STOCK_MODEL, "cutoff_charge", STOCK_MODEL.poly(DEFAULT_T_MAX)
 def battery_next_charge(model: BatteryModel, current_charge: float, dt: float) -> float:
     """Advance a charge fraction by dt seconds of flight.
 
-    Finds the curve time for the current charge, then returns the charge one
-    step later -- exactly 0 once the maximum flight time is reached.
+    Finds the curve time for the current charge with ``invert_charge``
+    (which rejects a charge outside [0, 1] before dt is checked, and maps 0
+    and any charge at or below the cutoff to t_max), then returns
+    ``charge_at`` one step later -- exactly 0 from t_max on.
     """
-    if not 0.0 <= current_charge <= 1.0:
-        raise BatteryModelError(f"charge {current_charge} outside [0, 1]")
+    t = model.invert_charge(current_charge)
     if dt <= 0.0:
         raise BatteryModelError("dt must be > 0")
-    if current_charge == 0.0:
-        return 0.0
-    t = model.invert_charge(current_charge)
-    if t >= model.t_max:
-        return 0.0
     return model.charge_at(t + dt * model.load_factor)
 
 
 def battery_time_to_empty(model: BatteryModel, charge: float) -> float:
     """Remaining flight seconds until the reported charge hits 0."""
-    if not 0.0 <= charge <= 1.0:
-        raise BatteryModelError(f"charge {charge} outside [0, 1]")
-    if charge == 0.0:
-        return 0.0
-    t = model.invert_charge(charge)
-    remaining = model.t_max - t
+    remaining = model.t_max - model.invert_charge(charge)
     return remaining if remaining > 0.0 else 0.0
 
 

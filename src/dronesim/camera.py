@@ -9,6 +9,8 @@ pixel mapping is tangent-linear (pinhole):
 
 with th the horizontal angle (positive to the right of the optical axis)
 and v computed the same way from the vertical angle, growing downward.
+The camera's pose is the drone's position and its yaw plus the mount yaw
+offset; ``detect_sources`` alone turns that pose into the view.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ class CameraConfig(Value):
             raise ValueError("aperture must be in (0, 180) degrees")
         if not math.isfinite(self.mount_yaw_offset_deg):
             raise ValueError("mount yaw offset must be finite")
-        object.__setattr__(self, "tan_half_aperture",
-                           math.tan(math.radians(self.aperture_deg / 2.0)))
+        tan_half = math.tan(math.radians(self.aperture_deg / 2.0))
+        if not tan_half > 0.0:  # a subnormal aperture's tangent rounds to 0
+            raise ValueError("aperture is too narrow: tan(aperture / 2) is 0")
+        object.__setattr__(self, "tan_half_aperture", tan_half)
 
 
 class Detection(NamedTuple):
@@ -55,10 +59,8 @@ def project_light(
     config: CameraConfig,
 ) -> Optional[tuple[int, int]]:
     """Project a world-frame point onto the pixel plane, or None if out of view."""
-    yaw = math.radians(camera_yaw_deg + config.mount_yaw_offset_deg)
     found = detect_sources(
-        camera_position, math.cos(yaw), math.sin(yaw),
-        config.tan_half_aperture,
+        camera_position, camera_yaw_deg, config,
         [(source_position[0], source_position[1], source_position[2], None, "")],
     )
     return (found[0].u, found[0].v) if found else None
@@ -70,15 +72,20 @@ _detection_key = itemgetter(0, 1, 3)
 _new_detection = tuple.__new__
 
 
-def detect_sources(cam_pos, cos_yaw, sin_yaw, tan_half, sources) -> list[Detection]:
-    """Detections of (x, y, z, color, source_id) sources, sorted by (u, v, id).
+def detect_sources(cam_pos, yaw_deg, config, sources) -> list[Detection]:
+    """Detections of (x, y, z, color, source_id) sources, sorted by (u, v, id),
+    for a camera at ``cam_pos`` on a drone at ``yaw_deg`` with ``config``.
 
-    Projection core shared with the world's capture loop (precomputed trig),
-    which passes every capture of a tick the same source table, the camera's
-    own LED included. A source must lie strictly in front of the plane
-    through the camera across its optical axis, so one at the camera
+    The one projection: ``project_light`` and the world's captures both call
+    it, and every capture of a tick passes the same source table, the
+    camera's own LED included. A source must lie strictly in front of the
+    plane through the camera across its optical axis, so one at the camera
     position is never detected.
     """
+    yaw = math.radians(yaw_deg + config.mount_yaw_offset_deg)
+    cos_yaw = math.cos(yaw)
+    sin_yaw = math.sin(yaw)
+    tan_half = config.tan_half_aperture
     cx, cy, cz = cam_pos
     last = RESOLUTION - 1
     out = []

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 from .battery import STOCK_MODEL, battery_time_to_empty
 from .camera import CameraConfig
 from .control import HOVER, Command, ControllerLimits
-from .geometry import ZERO3, Vec3
+from .geometry import ZERO3, Vec3, wrap_deg
 from .scenario import DroneSpec, LightSpec, Scenario, ScenarioError, WaypointPlan
 
 DT = 0.1
@@ -157,13 +157,15 @@ def build_position_leg(distance: float, settle_s: float = SETTLE_S) -> Variant:
 
 
 def build_yaw_leg(target_yaw: float, settle_s: float = SETTLE_S) -> Variant:
-    """Rotate in place to a target yaw under the position controller."""
+    """Rotate in place to a target yaw under the position controller, which
+    turns the short way to the wrapped target."""
     hold = (0.0, 0.0, 1.0)
+    command = Command.position(hold, target_yaw)  # rejects a non-finite yaw first
     return _flight(
         _sname("yaw_leg_a", target_yaw),
-        abs(target_yaw) / _STOCK_LIMITS.max_yaw_rate + settle_s, hold,
+        abs(wrap_deg(target_yaw)) / _STOCK_LIMITS.max_yaw_rate + settle_s, hold,
         {"experiment": "yaw-legs", "target": target_yaw}, ("time-yaw",),
-        target=hold, target_yaw=target_yaw, script=((0, Command.position(hold, target_yaw)),),
+        target=hold, target_yaw=target_yaw, script=((0, command),),
     )
 
 

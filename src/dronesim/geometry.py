@@ -21,6 +21,13 @@ def wrap_deg(angle: float) -> float:
     """
     if -180.0 < angle <= 180.0:
         return angle
+    return _fmod_wrap_deg(angle)
+
+
+def _fmod_wrap_deg(angle: float) -> float:
+    """Wrap to (-180, 180] always through fmod, in-range angles included
+    (they may move in the last bit): the bits that reported yaw errors and
+    RAB bearings keep."""
     r = math.fmod(angle + 180.0, 360.0)
     if r <= 0.0:
         r += 360.0

@@ -13,7 +13,7 @@ from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from ._value import Value
-from .geometry import Vec3
+from .geometry import Vec3, _fmod_wrap_deg
 
 CSV_HEADER = "tick,time_s,id,x,y,z,yaw_deg,vx,vy,vz,yaw_rate_deg_s,charge"
 
@@ -130,12 +130,7 @@ def summarize(
         )
     yaw_err = None
     if target_yaw is not None:
-        # Always through fmod, unlike geometry.wrap_deg (which returns in-range
-        # angles unrounded), so reported yaw errors keep their exact bits.
-        diff = math.fmod(last.yaw_deg - target_yaw + 180.0, 360.0)
-        if diff <= 0.0:
-            diff += 360.0
-        yaw_err = abs(diff - 180.0)
+        yaw_err = abs(_fmod_wrap_deg(last.yaw_deg - target_yaw))
     return Summary(
         peak_speed=peak_speed,
         peak_yaw_rate=peak_rate,

@@ -94,17 +94,14 @@ class _Drone:
         self.yaw = wrap_deg(spec.yaw)
         self.vx = self.vy = self.vz = 0.0
         self.yaw_rate = 0.0
-        self.charge = spec.charge  # a depleted start reports it until the first advance
+        # A depleted start reports its charge until the first advance; + 0.0
+        # folds a -0.0 start to 0.0.
+        self.charge = spec.charge + 0.0
         self.command: Command = HOVER
         self.target: Optional[tuple[Vec3, float]] = None
         self.memory = ControllerMemory()
-        if spec.charge <= 0.0:
-            self.battery_t = spec.battery.t_max
-            self.depleted = True
-            self.charge = 0.0
-        else:
-            self.battery_t = spec.battery.invert_charge(spec.charge)
-            self.depleted = self.battery_t >= spec.battery.t_max
+        self.battery_t = spec.battery.invert_charge(spec.charge)
+        self.depleted = self.battery_t >= spec.battery.t_max
         self.led_color = spec.led_color
         self.led_on = spec.led_on
         self.led_staged_color = spec.led_color
@@ -389,8 +386,6 @@ def _receive(deliveries, receiver: _Drone) -> list[RabReading]:
 
 
 def _capture(world: World, drone: _Drone) -> list[Detection]:
-    config = drone.spec.camera
-    yaw = math.radians(drone.yaw + config.mount_yaw_offset_deg)
     sources = world._sources
     if sources is None:
         sources = world._sources = world._light_sources + [
@@ -398,10 +393,7 @@ def _capture(world: World, drone: _Drone) -> list[Detection]:
             for other in world.drones
             if other.led_on
         ]
-    return detect_sources(
-        (drone.x, drone.y, drone.z), math.cos(yaw), math.sin(yaw),
-        config.tan_half_aperture, sources,
-    )
+    return detect_sources((drone.x, drone.y, drone.z), drone.yaw, drone.spec.camera, sources)
 
 
 # --------------------------------------------------------------------------

@@ -94,6 +94,17 @@ class TestProjectLight:
         with pytest.raises(ValueError):
             CameraConfig(aperture_deg=180.0)
 
+    def test_aperture_whose_half_tangent_is_zero_is_rejected(self):
+        # Such an aperture passed, and every capture then divided by its
+        # tangent (ZeroDivisionError in detect_sources).
+        with pytest.raises(ValueError, match="too narrow"):
+            CameraConfig(aperture_deg=1e-323)
+        with pytest.raises(ValueError, match="too narrow"):
+            CameraConfig(aperture_deg=math.nextafter(2.87e-322, 0.0))
+        narrowest = CameraConfig(aperture_deg=2.87e-322)
+        assert narrowest.tan_half_aperture == 5e-324
+        assert project_light(ORIGIN, 0.0, at(), narrowest) == (160, 160)
+
     def test_narrow_aperture(self):
         cfg = CameraConfig(aperture_deg=10.0)
         assert project_light(ORIGIN, 0.0, at(y=OFFSET), cfg) is None

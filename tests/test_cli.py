@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from dronesim.battery import DEFAULT_COEFFS
 from dronesim.cli import main
-from dronesim.experiments import EXPERIMENT_NAMES
+from dronesim.experiments import EXPERIMENT_NAMES, variants
+from dronesim.geometry import wrap_deg
 from dronesim.scenario import load_scenario
 
 REPO = Path(__file__).resolve().parent.parent
@@ -100,6 +101,20 @@ class TestRun:
         assert code == 2
         assert "[waypoints cf1] speed" in err
 
+    def test_camera_aperture_whose_tangent_is_zero_exits_2(self, tmp_path, capsys):
+        # tan(aperture / 2) was 0: the run exited 0 only because it never
+        # captures, and camera_capture raised ZeroDivisionError.
+        doc = tmp_path / "narrow.scn"
+        doc.write_text(
+            "[scenario]\nname = narrow\nduration = 2\n\n[drone a]\nposition = 0 0 1\n"
+            "camera = on\ncamera_aperture = 1e-323\n\n[light l]\nposition = 1 0 1\n"
+        )
+        code, out, err = run_cli(["run", doc, "--out", tmp_path], capsys)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: [drone a] camera_aperture: ") and "narrow" in line
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_overflowing_waypoint_guidance_exits_2(self, tmp_path, capsys):
         # speed / distance overflows to inf: this ended in a ValueError
         # traceback from the guidance command (exit 1).
@@ -156,11 +171,10 @@ class TestRun:
         code, out, err = run_cli(["run", doc, "--ticks", 1, "--out", tmp_path], capsys)
         assert (code, err) == (0, "")
 
-    @pytest.mark.parametrize("argv", [["position-legs", "--leg", "1e200"],
-                                      ["yaw-legs", "--target", "1e300"]])
+    @pytest.mark.parametrize("argv", [["position-legs", "--leg", "1e200"]])
     def test_experiment_whose_time_stops_advancing_exits_2(self, argv, tmp_path, capsys):
-        # About 1e200 and 1.1e299 ticks, so far that n * dt == (n - 1) * dt:
-        # the run never finished, and its rows filled memory.
+        # About 1e200 ticks, so far that n * dt == (n - 1) * dt: the run
+        # never finished, and its rows filled memory.
         code, out, err = run_cli(["experiment", *argv, "--out-dir", tmp_path], capsys)
         assert (code, out) == (2, "")
         (line,) = err.splitlines()
@@ -412,6 +426,26 @@ class TestExperiment:
         assert len(dats) == 6
         assert out.count("final_position_error=") == 6
 
+    def test_yaw_leg_duration_follows_the_wrapped_target(self, tmp_path, capsys):
+        # The duration came from |target|: 1.1e299 ticks for 1e300 (refused
+        # as a stalled time) and 1.1e14 for 1e15 (never finished), though
+        # the controller turns at most 180 degrees to the wrapped target.
+        assert wrap_deg(1e300) == 180.0 and wrap_deg(1e15) == -80.0
+        (far,) = variants("yaw-legs", target=1e15)
+        (near,) = variants("yaw-legs", target=-80.0)
+        assert far.scenario.duration == near.scenario.duration == 59
+
+        def csv_of(target):
+            out_dir = tmp_path / target
+            code, _, err = run_cli(["experiment", "yaw-legs", "--target", target,
+                                    "--out-dir", out_dir], capsys)
+            assert (code, err) == (0, "")
+            (path,) = out_dir.glob("*.csv")
+            return path.read_text()
+
+        assert len(csv_of("1e300").splitlines()) == 1 + 71
+        assert csv_of("1e15") == csv_of("-80")
+
     def test_truncate_settle_increases_error(self, tmp_path, capsys):
         code, out_full, _ = run_cli(
             ["experiment", "position-legs", "--leg", 10.0,
@@ -629,10 +663,11 @@ class TestEntryPoint:
         # -S keeps the environment's site hooks out of sys.modules. The CLI
         # itself loads no dataclasses (nor the inspect it pulls in), csv
         # only when a command needs it, and configparser never: scenario
-        # documents have a reader of their own.
+        # documents have a reader of their own. numpy (about 0.1 s to import)
+        # is for fit-battery alone.
         code = (
             "import sys, dronesim.cli\n"
-            "heavy = ('dataclasses', 'inspect', 'configparser', 'csv')\n"
+            "heavy = ('dataclasses', 'inspect', 'configparser', 'csv', 'numpy')\n"
             "print(','.join(m for m in heavy if m in sys.modules))\n"
             f"dronesim.cli.load_scenario_file({str(SCENARIOS / 'hover.scn')!r})\n"
             "print('configparser' in sys.modules)\n"
@@ -643,3 +678,26 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == ["", "False"]
+
+    def test_only_fit_battery_imports_numpy(self, tmp_path):
+        # Without -S, so that numpy is importable: a run and an experiment
+        # leave it unloaded, and fit-battery loads it.
+        samples = tmp_path / "samples.csv"
+        samples.write_text("time_s,charge\n" + "".join(
+            f"{t},{poly(t)!r}\n" for t in range(0, 428, 4)))
+        code = (
+            "import sys\nfrom dronesim.cli import main\n"
+            "for argv in sys.argv[1:]:\n"
+            "    assert main(argv.split('|')) == 0\n"
+            "    print('numpy' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code,
+             f"run|{SCENARIOS / 'two_drones_rab.scn'}|--out|{tmp_path}",
+             f"experiment|battery|--initial-charge|0.25|--out-dir|{tmp_path}",
+             f"fit-battery|{samples}"],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert [line for line in result.stdout.splitlines() if "=" not in line] == [
+            "False", "False", "True"]

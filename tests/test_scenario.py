@@ -366,6 +366,8 @@ MALFORMED = [
      "[drone a] limits: max_yaw_accel must be > 0"),
     ("camera", DRONE + "camera = on\ncamera_aperture = 180\n",
      "[drone a] camera_aperture: aperture must be in (0, 180) degrees"),
+    ("camera zero tangent", DRONE + "camera = on\ncamera_aperture = 1e-323\n",
+     "[drone a] camera_aperture: aperture is too narrow: tan(aperture / 2) is 0"),
     ("camera off", DRONE + "camera_yaw_offset = 10\n",
      "[drone a] camera: camera keys set but camera is off"),
     ("rab", DRONE + "rab_payload_max = 0\n", "[drone a] rab: payload_max must be >= 1"),

@@ -146,6 +146,8 @@ class _OCameraConfig:
             raise ValueError("aperture must be in (0, 180) degrees")
         if not math.isfinite(self.mount_yaw_offset_deg):
             raise ValueError("mount yaw offset must be finite")
+        if not self.tan_half_aperture > 0.0:
+            raise ValueError("aperture is too narrow: tan(aperture / 2) is 0")
 
     @cached_property
     def tan_half_aperture(self) -> float:
@@ -236,8 +238,8 @@ for _live, _oracle in ORACLES.items():
 # Field values, valid and not, per type.
 
 number = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 179.9, 180.0, 1e-9, math.inf, -math.inf,
-                     math.nan]),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 179.9, 180.0, 1e-9, 1e-323, math.inf,
+                     -math.inf, math.nan]),
     st.floats(min_value=-1e3, max_value=1e3),
 )
 positive = st.floats(min_value=1e-3, max_value=100.0)

@@ -463,8 +463,6 @@ class TestWaypointGuidance:
 
 def eager_capture(world, drone, leds):
     """Phase 5's projection for one drone; ``leds`` maps id -> (color, on)."""
-    config = drone.spec.camera
-    yaw = math.radians(drone.yaw + config.mount_yaw_offset_deg)
     sources = [
         (light.position[0], light.position[1], light.position[2],
          light.color, light.id)
@@ -474,10 +472,7 @@ def eager_capture(world, drone, leds):
         for other in world.drones
         if leds[other.spec.id][1] and other is not drone
     ]
-    return detect_sources(
-        (drone.x, drone.y, drone.z), math.cos(yaw), math.sin(yaw),
-        config.tan_half_aperture, sources,
-    )
+    return detect_sources((drone.x, drone.y, drone.z), drone.yaw, drone.spec.camera, sources)
 
 
 def eager_sensing(before, after):

@@ -36,6 +36,9 @@ class BatteryModelError(ValueError):
     """Invalid battery model parameters or fit input."""
 
 
+_UNDERDETERMINED = "underdetermined: need at least 4 samples with distinct times"
+
+
 class BatteryModel(Value):
     """The curve's four coefficients, its t_max (s), the charge at t_max
     (derived from the curve when None) and the discharge speed-up."""
@@ -143,31 +146,66 @@ def fit_discharge_polynomial(
     The fit is reported raw (no rescaling to force P(0) = 1); the resulting
     model must still pass BatteryModel validation, in particular strict
     monotonic decrease over [0, t_max]. t_max defaults to the largest sample
-    time. Raises BatteryModelError for under-determined input or a fit that
-    fails validation.
-    """
-    import numpy as np  # only the fit needs it; keeps `import dronesim` light
+    time. Each sample value goes through ``float()`` (None reads as NaN).
 
+    The fit is a Householder QR in normalized time u = t / max|t| and
+    charge c / max|c|, with ``math.fsum`` dot products; the coefficients are
+    then rescaled. Raises BatteryModelError for fewer than 4 distinct sample
+    times, a non-finite sample, times whose normalized matrix is rank
+    deficient (5e-324 and 1e-323 next to 1e308 both normalize to 0) and a
+    fit that fails validation.
+    """
     if len({t for t, _ in samples}) < 4:
-        raise BatteryModelError(
-            "underdetermined: need at least 4 samples with distinct times"
-        )
-    ts = np.asarray([t for t, _ in samples], dtype=float)
-    cs = np.asarray([c for _, c in samples], dtype=float)
-    if not (np.isfinite(ts).all() and np.isfinite(cs).all()):
+        raise BatteryModelError(_UNDERDETERMINED)
+    ts = [_as_float(t) for t, _ in samples]
+    cs = [_as_float(c) for _, c in samples]
+    if not all(map(math.isfinite, ts + cs)):
         raise BatteryModelError("samples must be finite")
-    # Fit in normalized time for conditioning, then rescale the coefficients.
-    t_scale = float(np.max(np.abs(ts)))
-    u = ts / t_scale
-    vander = np.column_stack([np.ones_like(u), u, u * u, u * u * u])
-    sol, *_ = np.linalg.lstsq(vander, cs, rcond=None)
-    coeffs = tuple(float(sol[k]) / t_scale**k for k in range(4))
+    t_scale = max(map(abs, ts))
+    c_scale = max(map(abs, cs)) or 1.0
+    coeffs = []
+    for x in _cubic_least_squares([t / t_scale for t in ts], [c / c_scale for c in cs]):
+        # Dividing step by step underflows to 0 (or overflows to inf, which
+        # validation rejects) where t_scale**k itself would raise.
+        coeffs.append(x * c_scale)
+        c_scale /= t_scale
     return BatteryModel(
-        coeffs=coeffs,
-        t_max=float(t_max) if t_max is not None else float(np.max(ts)),
+        coeffs=tuple(coeffs),
+        t_max=float(t_max) if t_max is not None else max(ts),
         cutoff_charge=None,
         load_factor=load_factor,
     )
+
+
+def _as_float(value) -> float:
+    return math.nan if value is None else float(value)
+
+
+def _cubic_least_squares(u: list[float], b: list[float]) -> list[float]:
+    """The x minimizing |A x - b| for A's columns 1, u, u^2, u^3, with
+    |u| <= 1 and |b| <= 1 so that no sum can overflow. Householder QR: R's
+    diagonal goes into each column in turn, Q^T b builds up in ``b``."""
+    n = len(u)
+    cols = [[1.0] * n, u, [x * x for x in u], [x * x * x for x in u], b]
+    for k in range(4):
+        a = cols[k][k:]
+        norm = math.sqrt(math.fsum(x * x for x in a))
+        # Rank-deficient: rounding leaves a dependent column a norm of about
+        # eps, not 0. R[0][0] is sqrt(n); numpy's lstsq cuts off singular
+        # values at n * eps of the largest in the same way.
+        if norm <= n * math.sqrt(n) * math.ulp(1.0):
+            raise BatteryModelError(_UNDERDETERMINED)
+        r = -norm if a[0] >= 0.0 else norm  # the sign that avoids cancellation
+        v = [a[0] - r] + a[1:]
+        vv = math.fsum(x * x for x in v)
+        cols[k][k] = r
+        for col in cols[k + 1:]:
+            s = 2.0 * math.fsum(x * y for x, y in zip(v, col[k:])) / vv
+            col[k:] = [y - s * x for x, y in zip(v, col[k:])]
+    x = [0.0] * 4
+    for k in (3, 2, 1, 0):
+        x[k] = (b[k] - math.fsum(cols[j][k] * x[j] for j in range(k + 1, 4))) / cols[k][k]
+    return x
 
 
 def _check_monotone(coeffs, t_max):

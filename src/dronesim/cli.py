@@ -12,8 +12,9 @@ an input file that cannot be read), 3 runtime failure such as an output that
 cannot be written. Standard output is stable key=value lines.
 Experiment flags: --speed must be finite and > 0, the others finite, and each
 experiment takes only its own (else exit 1, as for ``battery --speed``); a scenario
-they cannot build, or a run whose guidance velocity, motion or time overflows or
-whose tick time stops advancing (as for ``position-legs --leg 1e200``), exits 2.
+they cannot build, or a run whose guidance velocity, motion or time overflows,
+whose tick time stops advancing (as for ``position-legs --leg 1e200``) or that is
+longer than ``MAX_DRONE_TICKS`` (as for ``--leg 1e14``), exits 2.
 """
 
 from __future__ import annotations

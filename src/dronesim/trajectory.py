@@ -13,7 +13,7 @@ from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from ._value import Value
-from .geometry import Vec3, _fmod_wrap_deg
+from .geometry import Vec3, _fmod_wrap_deg, wrap_deg
 
 CSV_HEADER = "tick,time_s,id,x,y,z,yaw_deg,vx,vy,vz,yaw_rate_deg_s,charge"
 
@@ -130,7 +130,8 @@ def summarize(
         )
     yaw_err = None
     if target_yaw is not None:
-        yaw_err = abs(_fmod_wrap_deg(last.yaw_deg - target_yaw))
+        # Wrap the target first: subtracting a far target rounds the yaw away.
+        yaw_err = abs(_fmod_wrap_deg(last.yaw_deg - wrap_deg(target_yaw)))
     return Summary(
         peak_speed=peak_speed,
         peak_yaw_rate=peak_rate,

@@ -68,6 +68,11 @@ _new_tuple = tuple.__new__
 _cos, _log, _sin, _sqrt = math.cos, math.log, math.sin, math.sqrt
 _TWOPI = 2.0 * math.pi  # random.TWOPI
 
+# The most drone-ticks (ticks x drones, a world without drones counting as
+# one) that one run() may simulate: about 50 s at 5 us per drone-tick, and
+# 3.5 GB of trajectory rows at about 350 B each.
+MAX_DRONE_TICKS = 10**7
+
 
 class CapabilityError(ValueError):
     """The drone lacks the sensor required by the operation."""
@@ -272,8 +277,9 @@ def run_scenario(scenario: Scenario, n_ticks: Optional[int] = None):
 
 def _check_time(world: World, n_ticks: int) -> None:
     """Refuse ticks whose time_s, up to (tick + n_ticks) * dt, overflows or
-    stops advancing. Float spacing only grows with magnitude, so the last
-    pair of ticks is the first whose times can be equal."""
+    stops advancing, then runs longer than MAX_DRONE_TICKS. Float spacing
+    only grows with magnitude, so the last pair of ticks is the first whose
+    times can be equal."""
     last = world.tick + n_ticks
     try:
         end = last * world.dt
@@ -285,6 +291,11 @@ def _check_time(world: World, n_ticks: int) -> None:
     if end == (last - 1) * world.dt:
         raise ConfigurationError("time tick * dt of the last tick equals the previous tick's",
                                  "[scenario] dt")
+    drones = len(world.drones)
+    if n_ticks * max(drones, 1) > MAX_DRONE_TICKS:
+        raise ConfigurationError(
+            f"{n_ticks} ticks x {drones} drones is over the run-length bound of "
+            f"{MAX_DRONE_TICKS} drone-ticks", "[scenario] duration")
 
 
 def _record(world: World, appenders) -> None:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -179,6 +180,22 @@ class TestRun:
         assert (code, out) == (2, "")
         (line,) = err.splitlines()
         assert line.startswith("error: [scenario] dt: ") and "previous tick" in line
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "position-legs", "--leg", "1e14", "--out-dir", "{tmp}"],
+        ["run", str(SCENARIOS / "hover.scn"), "--ticks", "10000001", "--out", "{tmp}"],
+    ])
+    def test_run_over_the_length_bound_exits_2(self, argv, tmp_path, capsys):
+        # --leg 1e14 derives 1e14 ticks whose times still advance: the run
+        # went on until killed, with every row in memory.
+        started = time.perf_counter()
+        code, out, err = run_cli([arg.format(tmp=tmp_path) for arg in argv], capsys)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: [scenario] duration: ")
+        assert " ticks x 1 drones is over the run-length bound of 10000000 " in line
         assert not list(tmp_path.glob("*.csv"))
 
     def test_corrupt_scenario_exits_2_with_line(self, tmp_path, capsys):
@@ -435,16 +452,21 @@ class TestExperiment:
         (near,) = variants("yaw-legs", target=-80.0)
         assert far.scenario.duration == near.scenario.duration == 59
 
-        def csv_of(target):
+        def run_of(target):
+            """The CSV and the summary fields that --target prints."""
             out_dir = tmp_path / target
-            code, _, err = run_cli(["experiment", "yaw-legs", "--target", target,
-                                    "--out-dir", out_dir], capsys)
+            code, out, err = run_cli(["experiment", "yaw-legs", "--target", target,
+                                      "--out-dir", out_dir], capsys)
             assert (code, err) == (0, "")
             (path,) = out_dir.glob("*.csv")
-            return path.read_text()
+            return path.read_text(), out[out.index("peak_speed="):]
 
-        assert len(csv_of("1e300").splitlines()) == 1 + 71
-        assert csv_of("1e15") == csv_of("-80")
+        assert len(run_of("1e300")[0].splitlines()) == 1 + 71
+        # summarize subtracted the target before wrapping it: 1e15 printed
+        # final_yaw_error=0.000000, and 1e300 printed 180.000000.
+        assert run_of("1e15") == run_of("-80")
+        assert "final_yaw_error=0.004815 " in run_of("-80")[1]
+        assert "final_yaw_error=0.004515 " in run_of("1e300")[1]
 
     def test_truncate_settle_increases_error(self, tmp_path, capsys):
         code, out_full, _ = run_cli(
@@ -664,7 +686,7 @@ class TestEntryPoint:
         # itself loads no dataclasses (nor the inspect it pulls in), csv
         # only when a command needs it, and configparser never: scenario
         # documents have a reader of their own. numpy (about 0.1 s to import)
-        # is for fit-battery alone.
+        # is a test dependency only.
         code = (
             "import sys, dronesim.cli\n"
             "heavy = ('dataclasses', 'inspect', 'configparser', 'csv', 'numpy')\n"
@@ -679,17 +701,28 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == ["", "False"]
 
-    def test_only_fit_battery_imports_numpy(self, tmp_path):
-        # Without -S, so that numpy is importable: a run and an experiment
-        # leave it unloaded, and fit-battery loads it.
+    def test_no_command_needs_numpy(self, tmp_path):
+        # A finder first on sys.meta_path makes `import numpy` fail, as in an
+        # install without it: the package, a run, an experiment and a fit
+        # all still work.
         samples = tmp_path / "samples.csv"
         samples.write_text("time_s,charge\n" + "".join(
             f"{t},{poly(t)!r}\n" for t in range(0, 428, 4)))
         code = (
-            "import sys\nfrom dronesim.cli import main\n"
+            "import sys\n"
+            "class NoNumpy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'numpy':\n"
+            "            raise ImportError('numpy is blocked')\n"
+            "sys.meta_path.insert(0, NoNumpy())\n"
+            "import dronesim\n"
+            "from dronesim.cli import main\n"
             "for argv in sys.argv[1:]:\n"
-            "    assert main(argv.split('|')) == 0\n"
-            "    print('numpy' in sys.modules)\n"
+            "    assert main(argv.split('|')) == 0, argv\n"
+            "try:\n"
+            "    import numpy\n"
+            "except ImportError as exc:\n"
+            "    print(exc)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code,
@@ -699,5 +732,5 @@ class TestEntryPoint:
             capture_output=True, text=True, env=src_env(),
         )
         assert result.returncode == 0, result.stderr
-        assert [line for line in result.stdout.splitlines() if "=" not in line] == [
-            "False", "False", "True"]
+        lines = result.stdout.splitlines()
+        assert lines[-2].startswith("c0=") and lines[-1] == "numpy is blocked"

@@ -163,6 +163,24 @@ class TestSummarize:
         assert s.final_position_error == pytest.approx(0.1)
         assert s.final_yaw_error == pytest.approx(15.0)
 
+    def test_far_yaw_target_is_wrapped_before_subtracting(self):
+        # The error subtracted first: -80.004815 - 1e15 rounds to -1e15, so
+        # the yaw error read 0, and for 1e300 it read 180.
+        traj = Trajectory("cf1", [row(0, yaw_deg=-80.004815)])
+        near = summarize(traj, target_yaw=-80.0)
+        assert near.final_yaw_error == pytest.approx(0.004815, abs=1e-9)
+        assert summarize(traj, target_yaw=1e15) == near
+        traj = Trajectory("cf1", [row(0, yaw_deg=-179.995485)])
+        assert summarize(traj, target_yaw=1e300).final_yaw_error == pytest.approx(
+            0.004515, abs=1e-9)
+
+    def test_non_finite_yaw_target_keeps_its_outcome(self):
+        traj = Trajectory("cf1", [row(0, yaw_deg=10.0)])
+        assert math.isnan(summarize(traj, target_yaw=math.nan).final_yaw_error)
+        for target in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="math domain error"):
+                summarize(traj, target_yaw=target)
+
     def test_time_to_zero_charge(self):
         traj = Trajectory("cf1", [
             row(0, charge=0.4), row(1, charge=0.0), row(2, charge=0.0),

@@ -894,6 +894,24 @@ def test_overflowing_time_is_rejected_before_the_first_tick():
     assert step(create_world(scenario)).tick == 1
 
 
+def test_run_length_is_bounded_in_drone_ticks(monkeypatch):
+    # Ticks whose times advance ran until killed, at any count.
+    monkeypatch.setattr(world_mod, "MAX_DRONE_TICKS", 20)
+    drones = (DroneSpec(id="a", position=(0.0, 0.0, 1.0)),
+              DroneSpec(id="b", position=(1.0, 0.0, 1.0)))
+    world = create_world(Scenario(name="pair", drones=drones))
+    assert run(world, 10)[0].tick == 10
+    with pytest.raises(ConfigurationError, match=(
+            r"^\[scenario\] duration: 11 ticks x 2 drones is over the "
+            r"run-length bound of 20 drone-ticks$")):
+        run(world, 11)
+    # A world without drones counts as one drone.
+    empty = create_world(Scenario(name="empty"))
+    assert run(empty, 20)[0].tick == 20
+    with pytest.raises(ConfigurationError, match=r"21 ticks x 0 drones"):
+        run(empty, 21)
+
+
 def test_time_that_stops_advancing_is_rejected():
     # At tick 10**20 with dt = 0.1, (tick + 1) * dt == tick * dt: step()
     # recorded the same time_s again, and a run that long never finished.

@@ -142,7 +142,11 @@ class ControllerLimits(Value):
 
 
 class DroneState(NamedTuple):
-    """Pose, velocity, and battery charge of one drone (world frame)."""
+    """Pose, velocity, and battery charge of one drone (world frame).
+
+    The control steps read a state by position, so a plain tuple of these
+    five fields, in this order, gives them the same result.
+    """
 
     position: Vec3
     yaw: float
@@ -189,9 +193,9 @@ def velocity_control_step(
     """
     if cmd.kind != VELOCITY:
         raise ValueError("velocity_control_step requires a velocity command")
-    if state.charge <= 0.0:
+    if state[4] <= 0.0:
         # The cascade reads the charge only to ground the drone.
-        state = state._replace(charge=1.0)
+        state = (*state[:4], 1.0)
     return drone_control_step(state, memory, cmd, None, gains, limits, dt)
 
 
@@ -212,9 +216,10 @@ def position_control_step(
     the positive (counter-clockwise) direction -- and the desired yaw rate is
     saturated at the position-mode yaw rate limit.
     """
-    ex = target[0] - state.position[0]
-    ey = target[1] - state.position[1]
-    ez = target[2] - state.position[2]
+    (px, py, pz), yaw, _, _, _ = state
+    ex = target[0] - px
+    ey = target[1] - py
+    ez = target[2] - pz
     kp = gains.position.kp
     kd = gains.position.kd
     if kd != 0.0 and memory.pos_err is not None:
@@ -231,7 +236,7 @@ def position_control_step(
     if not _sqrt(dx * dx + dy * dy + dz * dz) <= max_speed:
         v_des = saturate(v_des, max_speed)
 
-    yaw_err = wrap_deg(target_yaw - state.yaw)
+    yaw_err = wrap_deg(target_yaw - yaw)
     kpy = gains.position_yaw.kp
     kdy = gains.position_yaw.kd
     if kdy != 0.0 and memory.yaw_err is not None:
@@ -270,14 +275,15 @@ def drone_control_step(
     history), clamped to the acceleration limits. A vector within its limit
     is only measured; ``saturate`` is called past it (or for NaN).
     """
-    if state.charge <= 0.0:
+    _, yaw, (vx, vy, vz), rate, charge = state
+    if charge <= 0.0:
         return ZERO3, 0.0, memory
     max_speed = limits.max_linear_speed
     velocity_mode = cmd.kind == VELOCITY
     if velocity_mode:
         linear = cmd.linear
         if cmd.frame == BODY:
-            linear = body_to_world(linear, state.yaw)
+            linear = body_to_world(linear, yaw)
         dx, dy, dz = linear
         if not _sqrt(dx * dx + dy * dy + dz * dz) <= max_speed:
             dx, dy, dz = saturate(linear, max_speed)
@@ -291,7 +297,6 @@ def drone_control_step(
             state, memory, target, target_yaw, gains, limits, dt
         )
 
-    vx, vy, vz = state.velocity
     ex = dx - vx
     ey = dy - vy
     ez = dz - vz
@@ -319,7 +324,6 @@ def drone_control_step(
     if not _sqrt(nx * nx + ny * ny + nz * nz) <= max_speed:
         new_velocity = saturate(new_velocity, max_speed)
 
-    rate = state.yaw_rate
     rate_err = rate_des - rate
     pd = gains.velocity_yaw
     prev = memory.yaw_rate_err
@@ -349,13 +353,10 @@ def resolve_position_target(state: DroneState, cmd: Command) -> tuple[Vec3, floa
     if cmd.kind != POSITION:
         raise ValueError("not a position command")
     if cmd.frame == BODY:
-        off = body_to_world(cmd.linear, state.yaw)
-        target = (
-            state.position[0] + off[0],
-            state.position[1] + off[1],
-            state.position[2] + off[2],
-        )
-        target_yaw = wrap_deg(state.yaw + cmd.angular)
+        (x, y, z), yaw, _, _, _ = state
+        off = body_to_world(cmd.linear, yaw)
+        target = (x + off[0], y + off[1], z + off[2])
+        target_yaw = wrap_deg(yaw + cmd.angular)
     else:
         target = cmd.linear
         target_yaw = wrap_deg(cmd.angular)

@@ -106,11 +106,12 @@ class Scenario(Value):
         validate_scenario(self)
 
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+# Matched whole: a "$" anchor would also admit a name ending in a newline.
+_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 def validate_scenario(s: Scenario) -> None:
-    if not _NAME_RE.match(s.name):
+    if not _NAME_RE.fullmatch(s.name):
         raise ScenarioError(
             "name must be alphanumeric with . _ - only", "[scenario] name"
         )
@@ -136,7 +137,7 @@ def validate_scenario(s: Scenario) -> None:
     known = set(ids)
     (lo_x, lo_y, lo_z), (hi_x, hi_y, hi_z) = s.arena_min, s.arena_max
     for d in s.drones:
-        if not _NAME_RE.match(d.id):
+        if not _NAME_RE.fullmatch(d.id):
             raise ScenarioError("bad drone id", f"[drone {d.id}] id")
         if not is_finite3(d.position):
             raise ScenarioError("position must be finite", f"[drone {d.id}] position")
@@ -156,7 +157,7 @@ def validate_scenario(s: Scenario) -> None:
         if not is_color(d.led_color):
             raise ScenarioError(_BAD_COLOR, f"[drone {d.id}] led_color")
     for light in s.lights:
-        if not _NAME_RE.match(light.id):
+        if not _NAME_RE.fullmatch(light.id):
             raise ScenarioError("bad light id", f"[light {light.id}] id")
         if not is_finite3(light.position):
             raise ScenarioError("position must be finite", f"[light {light.id}] position")
@@ -200,9 +201,11 @@ def validate_scenario(s: Scenario) -> None:
 
 
 def is_color(color) -> bool:
-    """Whether ``color`` is three integer channels in [0, 255]."""
+    """Whether ``color`` is three integer channels in [0, 255]; a bool is
+    not a channel, since it would render as ``True`` or ``False``."""
     return len(color) == 3 and all(
-        isinstance(ch, int) and 0 <= ch <= 255 for ch in color
+        isinstance(ch, int) and not isinstance(ch, bool) and 0 <= ch <= 255
+        for ch in color
     )
 
 

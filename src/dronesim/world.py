@@ -55,7 +55,7 @@ from .control import (
     next_pose,
     resolve_position_target,
 )
-from .geometry import Vec3, is_finite3, wrap_deg
+from .geometry import Vec3, wrap_deg
 from .rab import PayloadError, RabReading, make_reading
 from .scenario import (  # noqa: F401 (ConfigurationError is re-exported)
     ConfigurationError, DroneSpec, Scenario, WaypointPlan, is_color,
@@ -65,7 +65,7 @@ from .trajectory import Trajectory, TrajectoryRow
 # NamedTuple construction without the generated ``__new__``, a Python-level
 # call per row or state; the fields go in positionally, in their order.
 _new_tuple = tuple.__new__
-_cos, _log, _sin, _sqrt = math.cos, math.log, math.sin, math.sqrt
+_cos, _isfinite, _log, _sin, _sqrt = math.cos, math.isfinite, math.log, math.sin, math.sqrt
 _TWOPI = 2.0 * math.pi  # random.TWOPI
 
 # The most drone-ticks (ticks x drones, a world without drones counting as
@@ -174,7 +174,7 @@ class World:
 
     __slots__ = (
         # The run's frame, built once and shared by every copy.
-        "scenario", "dt", "index", "lights", "_light_sources",
+        "scenario", "dt", "index", "lights", "_light_sources", "_programs",
         # This tick's state, and its tables of senders and of camera
         # sources, each None until the tick's first read that needs it.
         "tick", "drones", "rng", "_deliveries", "_sources",
@@ -186,6 +186,15 @@ class World:
         self.dt = scenario.dt
         # Drone id -> registry position, the same in every copy.
         self.index = {d.spec.id: i for i, d in enumerate(drones)}
+        # Each drone's flight program in registry order, fixed for the run
+        # and shared by every copy: (script entries or None, waypoint plan
+        # or None, broadcast payload or None, gains, limits).
+        scripts, waypoints = scenario.scripts, scenario.waypoints
+        self._programs = tuple([
+            (scripts.get(d.spec.id), waypoints.get(d.spec.id),
+             d.spec.rab_broadcast, d.spec.gains, d.spec.limits)
+            for d in drones
+        ])
         self.lights = tuple(scenario.lights)
         self._light_sources = [
             (light.position[0], light.position[1], light.position[2],
@@ -210,6 +219,7 @@ class World:
         clone.scenario = self.scenario
         clone.dt = self.dt
         clone.index = self.index
+        clone._programs = self._programs
         clone.lights = self.lights
         clone._light_sources = self._light_sources
         clone.tick = self.tick
@@ -260,7 +270,7 @@ def run(world: World, n_ticks: int):
     trajectories = {}
     appenders = []  # each drone's rows.append, in registry order
     for d in current.drones:
-        trajectory = trajectories[d.spec.id] = Trajectory(d.spec.id, [])
+        trajectory = trajectories[d.spec.id] = Trajectory._unchecked(d.spec.id, [])
         appenders.append(trajectory.rows.append)
     _record(current, appenders)
     for _ in range(n_ticks):
@@ -417,26 +427,19 @@ def _advance(world: World) -> None:
 
     # Phase 1: scripts/guidance update commands, controllers store the new
     # motion on each drone for phase 2 (no step here reads another drone).
-    scripts = scenario.scripts
-    waypoints = scenario.waypoints
-    for drone in world.drones:
-        spec = drone.spec
-        entries = scripts.get(spec.id)
+    for drone, (entries, plan, broadcast, gains, limits) in zip(world.drones, world._programs):
         if entries:
             _apply_script(entries, drone, tick)
-        plan = waypoints.get(spec.id)
         if plan is not None:
             _apply_waypoints(plan, drone)
-        if spec.rab_broadcast is not None:
-            drone.outbox += (spec.rab_broadcast,)
-        # The state is drone.state(), built here: a method call less.
-        state = _new_tuple(DroneState, (
-            (drone.x, drone.y, drone.z), drone.yaw,
-            (drone.vx, drone.vy, drone.vz), drone.yaw_rate, drone.charge,
-        ))
+        if broadcast is not None:
+            drone.outbox += (broadcast,)
+        # The fields of drone.state() as a plain tuple: the cascade reads
+        # them by position.
         (drone.vx, drone.vy, drone.vz), drone.yaw_rate, drone.memory = drone_control_step(
-            state, drone.memory, drone.command, drone.target,
-            spec.gains, spec.limits, dt,
+            ((drone.x, drone.y, drone.z), drone.yaw,
+             (drone.vx, drone.vy, drone.vz), drone.yaw_rate, drone.charge),
+            drone.memory, drone.command, drone.target, gains, limits, dt,
         )
 
     # Phase 2: kinematics (semi-implicit Euler) + arena clamp + noise hook.
@@ -583,13 +586,15 @@ def _apply_waypoints(plan: WaypointPlan, drone: _Drone) -> None:
         drone.command = HOVER
     else:
         s = plan.speed / dist
-        linear = (dx * s, dy * s, dz * s)
-        if not is_finite3(linear):
+        lx = dx * s
+        ly = dy * s
+        lz = dz * s
+        if not (_isfinite(lx) and _isfinite(ly) and _isfinite(lz)):
             raise ConfigurationError(
                 "the guidance velocity speed / distance is not finite",
                 f"[waypoints {drone.spec.id}] speed",
             )
-        drone.command = _world_velocity(linear)
+        drone.command = _world_velocity((lx, ly, lz))
 
 
 def _switch(drone: _Drone, command: Command) -> None:

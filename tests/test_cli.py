@@ -649,7 +649,7 @@ def test_scenario_names_distinct_and_valid(a, b):
     from dronesim.scenario import _NAME_RE
 
     name = _sname("line2d_s", a)
-    assert _NAME_RE.match(name)
+    assert _NAME_RE.fullmatch(name)
     if a != b or math.copysign(1.0, a) != math.copysign(1.0, b):
         assert name != _sname("line2d_s", b)
     text = f"{a:g}"

@@ -608,3 +608,42 @@ def _assert_same(live, oracle, live_args, oracle_args, *shared):
             outcomes.append((None, type(exc)))
     assert repr(outcomes[0]) == repr(outcomes[1])
     return outcomes[1][0]
+
+
+# The control steps read ``state`` by position: a DroneState and the plain
+# tuple of its fields (as the world's phase 1 passes) give the same bits.
+@settings(max_examples=500, deadline=None)
+@given(
+    position=_vec, yaw=_yaw | _value, velocity=_vec, yaw_rate=_value,
+    charge=st.floats(-0.5, 1.0) | st.just(0.0), memory=_memories,
+    cmd=_commands, resolved=st.none() | st.tuples(_cmd_vec, _yaw),
+    gains=_gains, limits=_limits, dt=st.sampled_from([0.1, 0.05]) | st.floats(0.001, 0.5),
+)
+@example(  # kd on all four loops, a body-frame position command, history
+    position=(0.0, 0.0, 1.0), yaw=170.0, velocity=(0.5, -0.5, 0.1), yaw_rate=30.0,
+    charge=0.5, memory=((0.1, 0.2, 0.3), 5.0, (1.0, -1.0, 0.5), 10.0),
+    cmd=Command.position((4.0, -3.0, 2.0), -170.0, "body"), resolved=None,
+    gains=GainSet(PDGains(8.0, 0.3), PDGains(3.0, 0.2), PDGains(2.0, 0.5), PDGains(1.5, 0.4)),
+    limits=ControllerLimits(0.5, 10.0, 1.0, 50.0), dt=0.1,
+)
+@example(  # a grounded drone under a body-frame velocity command
+    position=(0.0, 0.0, 0.0), yaw=45.0, velocity=(1.0, 0.0, 0.0), yaw_rate=0.0,
+    charge=0.0, memory=(None, None, None, None),
+    cmd=Command.velocity((1.0, 2.0, 0.0), 10.0, "body"), resolved=None,
+    gains=GainSet(), limits=ControllerLimits(), dt=0.1,
+)
+def test_plain_state_tuple_matches_drone_state(position, yaw, velocity, yaw_rate, charge,
+                                               memory, cmd, resolved, gains, limits, dt):
+    fields = (position, yaw, velocity, yaw_rate, charge)
+    state = DroneState(*fields)
+    mem = ControllerMemory(*memory)
+    _assert_same(drone_control_step, drone_control_step,
+                 (state, mem), (fields, mem), cmd, resolved, gains, limits, dt)
+    _assert_same(resolve_position_target, resolve_position_target,
+                 (state,), (fields,), cmd)
+    target = resolved or (cmd.linear, cmd.angular)
+    _assert_same(position_control_step, position_control_step,
+                 (state, mem), (fields, mem), *target, gains, limits, dt)
+    if cmd.kind == "velocity":
+        _assert_same(velocity_control_step, velocity_control_step,
+                     (state, mem), (fields, mem), cmd, gains, limits, dt)

@@ -453,3 +453,28 @@ def test_documented_keys_match_field_table():
     assert documented == {
         kind: [f.key for f in fields] for kind, fields in tables.items()
     }
+
+
+# A name ending in a newline once validated ("$" matches before a final
+# newline), then rendered a document that load_scenario rejects.
+@pytest.mark.parametrize("build,location", [
+    (lambda: Scenario(name="abc\n"), "[scenario] name"),
+    (lambda: Scenario(drones=(DroneSpec(id="cf1\n"),)), "[drone cf1\n] id"),
+    (lambda: Scenario(lights=(LightSpec(id="l1\n", position=(0.0, 0.0, 1.0)),)),
+     "[light l1\n] id"),
+], ids=["scenario name", "drone id", "light id"])
+def test_name_with_trailing_newline_rejected(build, location):
+    with pytest.raises(ScenarioError) as info:
+        build()
+    assert info.value.location == location
+
+
+# A bool channel once validated, rendered as "True 0 0", and failed to load.
+@pytest.mark.parametrize("color", [(True, 0, 0), (0, False, 0), (0, 0, True)])
+def test_bool_color_channel_rejected(color):
+    with pytest.raises(ScenarioError) as info:
+        Scenario(drones=(DroneSpec(id="cf1", led_color=color),))
+    assert str(info.value) == "[drone cf1] led_color: color must be three integers in [0, 255]"
+    with pytest.raises(ScenarioError) as info:
+        Scenario(lights=(LightSpec(id="l1", position=(0.0, 0.0, 1.0), color=color),))
+    assert str(info.value) == "[light l1] color: color must be three integers in [0, 255]"

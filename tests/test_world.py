@@ -377,7 +377,7 @@ class TestLedAndCamera:
     @pytest.mark.parametrize("color", [
         (0.9, 254.6, 12.99), (0, 0, 0.5), (255.5, 0, 0), (0, 0, float("nan")),
         (0, 0, float("inf")), (0, 254.0, 12), (-1, 0, 0), (256, 0, 0), (0, 0),
-        (0, 0, 0, 0),
+        (0, 0, 0, 0), (True, 0, 0), (0, 0, False),
     ])
     def test_set_led_rejects_bad_channels(self, color):
         # Channels are integers, as in a scenario document. Fractional ones
@@ -735,7 +735,7 @@ def test_world_copy_carries_every_slot():
         name="copy", duration=0, noise_seed=3, noise_position_std=0.01,
         drones=tuple(DroneSpec(id=f"cf{i}", position=(0.5 * i, 0.0, 1.0)) for i in range(3)),
     )
-    shared = ("scenario", "dt", "index", "lights", "_light_sources",
+    shared = ("scenario", "dt", "index", "lights", "_light_sources", "_programs",
               "tick", "_deliveries", "_sources")
     own = ("drones", "rng")
     assert sorted(shared + own) == sorted(world_mod.World.__slots__)

@@ -18,7 +18,8 @@ their own as ``position_control_step`` (which the cascade calls) and
 
 All of these are pure functions: per-drone derivative memory is passed in
 and returned explicitly so that a world snapshot fully determines the next
-tick.
+tick. A stage without a derivative gain returns the memory it was given
+(see ``ControllerMemory``).
 
 Default gains were calibrated against the acceptance envelope, not copied
 from hardware: the linear velocity loop uses kp = 1/dt (one-tick deadbeat
@@ -165,12 +166,23 @@ class ControllerMemory(NamedTuple):
 
     ``None`` fields mean "no history yet": the first tick after a command
     change uses a zero derivative instead of a spurious kick.
+
+    Only a stage with a non-zero ``kd`` records its errors; a stage without
+    one passes the memory through unchanged, so its fields keep what they
+    held (``None`` in a fresh memory). A caller that changes a stage's
+    ``kd`` from 0 to non-zero between calls therefore starts that stage
+    without history, as after a command change (or, if the stage had a
+    derivative gain earlier, from the errors it recorded then).
     """
 
     vel_err: Optional[Vec3] = None
     yaw_rate_err: Optional[float] = None
     pos_err: Optional[Vec3] = None
     yaw_err: Optional[float] = None
+
+
+# The memory of a drone without history; immutable, so every reset shares it.
+EMPTY_MEMORY = ControllerMemory()
 
 
 def velocity_control_step(
@@ -189,7 +201,9 @@ def velocity_control_step(
     the analogous scalar loop clamped to the yaw acceleration limit.
 
     This is ``drone_control_step`` on a velocity command, except that a
-    drone with an empty battery is flown, not grounded.
+    drone with an empty battery is flown, not grounded. The memory is
+    returned as given, the same object, when ``gains.velocity.kd`` and
+    ``gains.velocity_yaw.kd`` are both 0.
     """
     if cmd.kind != VELOCITY:
         raise ValueError("velocity_control_step requires a velocity command")
@@ -215,6 +229,10 @@ def position_control_step(
     The yaw error wraps to (-180, 180] -- an exact 180 degree error turns in
     the positive (counter-clockwise) direction -- and the desired yaw rate is
     saturated at the position-mode yaw rate limit.
+
+    The memory is returned as given, the same object, when
+    ``gains.position.kd`` and ``gains.position_yaw.kd`` are both 0; else its
+    position and yaw errors are replaced by this tick's.
     """
     (px, py, pz), yaw, _, _, _ = state
     ex = target[0] - px
@@ -249,6 +267,8 @@ def position_control_step(
     elif rate_des > max_rate:
         rate_des = max_rate
 
+    if kd == 0.0 and kdy == 0.0:
+        return v_des, rate_des, memory  # no derivative term reads it
     return v_des, rate_des, _new_tuple(ControllerMemory, (
         memory.vel_err, memory.yaw_rate_err, (ex, ey, ez), yaw_err
     ))
@@ -274,6 +294,12 @@ def drone_control_step(
     the yaw rate get kp*err + kd*d(err)/dt (no derivative term without
     history), clamped to the acceleration limits. A vector within its limit
     is only measured; ``saturate`` is called past it (or for NaN).
+
+    Each stage records its errors only if one of its loops has a non-zero
+    ``kd``: the position stage for ``gains.position``/``position_yaw``, the
+    velocity stage for ``gains.velocity``/``velocity_yaw``. With no
+    derivative gain anywhere on the path, the memory given is returned, the
+    same object.
     """
     _, yaw, (vx, vy, vz), rate, charge = state
     if charge <= 0.0:
@@ -326,9 +352,10 @@ def drone_control_step(
 
     rate_err = rate_des - rate
     pd = gains.velocity_yaw
+    kdy = pd.kd
     prev = memory.yaw_rate_err
-    if pd.kd != 0.0 and prev is not None:
-        a = pd.kp * rate_err + pd.kd * (rate_err - prev) / dt
+    if kdy != 0.0 and prev is not None:
+        a = pd.kp * rate_err + kdy * (rate_err - prev) / dt
     else:
         a = pd.kp * rate_err
     max_yaw_accel = limits.max_yaw_accel
@@ -343,6 +370,8 @@ def drone_control_step(
             new_rate = -max_rate
         elif new_rate > max_rate:
             new_rate = max_rate
+    if kd == 0.0 and kdy == 0.0:
+        return new_velocity, new_rate, memory  # no derivative term reads it
     return new_velocity, new_rate, _new_tuple(ControllerMemory, (
         (ex, ey, ez), rate_err, memory.pos_err, memory.yaw_err
     ))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
@@ -198,6 +199,7 @@ def validate_scenario(s: Scenario) -> None:
         for p in plan.points:
             if not is_finite3(p):
                 raise ScenarioError("waypoints must be finite", f"{loc} points")
+    _refuse_bools(s)
 
 
 def is_color(color) -> bool:
@@ -212,6 +214,26 @@ def is_color(color) -> bool:
 _BAD_COLOR = "color must be three integers in [0, 255]"
 
 
+def _refuse_bools(s: Scenario) -> None:
+    """Refuse a bool in any number the document of ``s`` holds: a ``bool``
+    is an ``int``, so it passes every numeric check, but it renders as
+    ``True`` or ``False``, which load_scenario reads as no number. Drones
+    share their gains, limits, camera, RAB and battery objects, so each is
+    looked at once."""
+    seen = set()  # ids of the objects looked at
+    for kind, header, spec in _sections(s):
+        for part, keys in _NUMBER_KEYS[kind]:
+            holder = spec
+            if part is not None:
+                holder = getattr(spec, part)
+                if holder is None or id(holder) in seen:  # no camera, or looked at
+                    continue
+                seen.add(id(holder))
+            for key, value_of, holds_bool in keys:
+                if holds_bool(value_of(holder)):
+                    raise ScenarioError("a bool is not a number", f"[{header}] {key}")
+
+
 # --------------------------------------------------------------------------
 # The field table. One row per key drives parsing, rendering, the rejection
 # of unknown keys and the check for required ones.
@@ -224,6 +246,9 @@ class _Codec(NamedTuple):
     parse: Callable[[str], Any]
     render: Callable[[Any], str]
     block: bool = False  # a multi-line value, converted one indented line at a time
+    # Whether a value holds a bool where a number belongs; None for values
+    # that hold no numbers.
+    holds_bool: Optional[Callable[[Any], bool]] = None
 
 
 def _checked(convert, failure: str):
@@ -278,6 +303,20 @@ def _parse_command(line: str) -> tuple[int, Command]:
     return tick, Command(parts[1], parts[2], linear, angular)
 
 
+_is_bool = bool.__instancecheck__
+
+
+def _bool_among(numbers) -> bool:
+    return bool in map(type, numbers)
+
+
+def _commands_hold_bool(entries) -> bool:
+    for tick, command in entries:
+        if _is_bool(tick) or _is_bool(command.angular) or _bool_among(command.linear):
+            return True
+    return False
+
+
 def _render_floats(values) -> str:
     return " ".join(repr(v) for v in values)
 
@@ -288,11 +327,13 @@ def _render_command(entry: tuple[int, Command]) -> str:
 
 
 _STR = _Codec(str.strip, str)
-_INT = _Codec(_checked(int, "not an integer: {!r}"), str)
-_FLOAT = _Codec(_checked(float, "not a number: {!r}"), repr)
+_INT = _Codec(_checked(int, "not an integer: {!r}"), str, holds_bool=_is_bool)
+_FLOAT = _Codec(_checked(float, "not a number: {!r}"), repr, holds_bool=_is_bool)
 _VERSION = _Codec(_parse_version, str)
-_VEC3 = _Codec(lambda text: _parse_numbers(text, 3, "expected three numbers"), _render_floats)
-_FOUR_FLOATS = _Codec(lambda text: _parse_numbers(text, 4, "expected 4 numbers"), _render_floats)
+_VEC3 = _Codec(lambda text: _parse_numbers(text, 3, "expected three numbers"), _render_floats,
+               holds_bool=_bool_among)
+_FOUR_FLOATS = _Codec(lambda text: _parse_numbers(text, 4, "expected 4 numbers"),
+                      _render_floats, holds_bool=_bool_among)
 # Channel ranges are checked by validate_scenario.
 _COLOR = _Codec(lambda text: _parse_numbers(text, 3, "expected three integers", int),
                 lambda color: " ".join(str(ch) for ch in color))
@@ -302,8 +343,9 @@ _HEX = _Codec(_checked(lambda text: bytes.fromhex(text.replace(" ", "")), "not h
               bytes.hex)
 _POINTS = _Codec(
     lambda line: _parse_numbers(line, 3, f"expected three numbers per point, got {line!r}"),
-    _render_floats, block=True)
-_COMMANDS = _Codec(_parse_command, _render_command, block=True)
+    _render_floats, block=True,
+    holds_bool=lambda points: _bool_among(chain.from_iterable(points)))
+_COMMANDS = _Codec(_parse_command, _render_command, block=True, holds_bool=_commands_hold_bool)
 
 # When a key is written: only away from its default, always, or always and
 # it must be present when read.
@@ -386,6 +428,25 @@ _SECTIONS = {
         _Field("points", _POINTS, None, "points", _REQUIRED),
     ),
 }
+# Every table by the kind of section it reads, ``[scenario]`` included.
+_TABLES = {"scenario": _SCENARIO_FIELDS, **_SECTIONS}
+
+
+def _number_keys(fields) -> tuple:
+    """The keys of ``fields`` whose values hold numbers, each as (key, getter
+    of its value, its codec's holds_bool), grouped by the spec's attribute
+    that holds them (None: the spec itself): ((attribute, keys), ...)."""
+    parts: dict = {}
+    for f in fields:
+        if f.codec.holds_bool is not None:
+            part, _, group = (f.group or "").partition(".")
+            path = f"{group}.{f.attr}" if group else f.attr
+            parts.setdefault(part or None, []).append(
+                (f.key, attrgetter(path), f.codec.holds_bool))
+    return tuple((part, tuple(keys)) for part, keys in parts.items())
+
+
+_NUMBER_KEYS = {kind: _number_keys(fields) for kind, fields in _TABLES.items()}
 # Each table's keys, which tell a section's unknown keys.
 _SCENARIO_KEYS = frozenset(f.key for f in _SCENARIO_FIELDS)
 _SECTION_KEYS = {kind: frozenset(f.key for f in fields) for kind, fields in _SECTIONS.items()}
@@ -588,16 +649,22 @@ def _build_drone(location: str, ident: str, spec: dict, groups: dict, raw: dict,
 
 def render_scenario(s: Scenario) -> str:
     """Serialize a scenario so that load_scenario reproduces it exactly."""
-    sections = [_render_section("scenario", _SCENARIO_FIELDS, s)]
-    for kind, specs in (
-        ("drone", [(d.id, d) for d in s.drones]),
-        ("light", [(light.id, light) for light in s.lights]),
-        ("script", [(i, SimpleNamespace(commands=e)) for i, e in s.scripts.items()]),
-        ("waypoints", s.waypoints.items()),
-    ):
-        for ident, spec in specs:
-            sections.append(_render_section(f"{kind} {ident}", _SECTIONS[kind], spec))
-    return "\n".join(sections)
+    return "\n".join(_render_section(header, _TABLES[kind], spec)
+                     for kind, header, spec in _sections(s))
+
+
+def _sections(s: Scenario):
+    """(kind, header, object) of each section of the document of ``s``, in
+    document order."""
+    yield "scenario", "scenario", s
+    for d in s.drones:
+        yield "drone", f"drone {d.id}", d
+    for light in s.lights:
+        yield "light", f"light {light.id}", light
+    for ident, entries in s.scripts.items():
+        yield "script", f"script {ident}", SimpleNamespace(commands=entries)
+    for ident, plan in s.waypoints.items():
+        yield "waypoints", f"waypoints {ident}", plan
 
 
 def _render_section(header: str, fields, spec) -> str:

@@ -46,8 +46,8 @@ from typing import Optional
 from .camera import Detection, detect_sources
 from .control import (
     Command,
-    ControllerMemory,
     DroneState,
+    EMPTY_MEMORY,
     HOVER,
     POSITION,
     _world_velocity,
@@ -104,7 +104,7 @@ class _Drone:
         self.charge = spec.charge + 0.0
         self.command: Command = HOVER
         self.target: Optional[tuple[Vec3, float]] = None
-        self.memory = ControllerMemory()
+        self.memory = EMPTY_MEMORY
         self.battery_t = spec.battery.invert_charge(spec.charge)
         self.depleted = self.battery_t >= spec.battery.t_max
         self.led_color = spec.led_color
@@ -576,7 +576,7 @@ def _apply_waypoints(plan: WaypointPlan, drone: _Drone) -> None:
             # Park: hold position at the final waypoint, keep current yaw.
             _switch(drone, Command.position((wx, wy, wz), drone.yaw))
             return
-        drone.memory = ControllerMemory()
+        drone.memory = EMPTY_MEMORY
         wx, wy, wz = points[idx]
         dx = wx - drone.x
         dy = wy - drone.y
@@ -601,7 +601,7 @@ def _switch(drone: _Drone, command: Command) -> None:
     """Fly ``command`` from now on: fresh controller memory, and a position
     target resolved to the world frame once, as it activates."""
     drone.command = command
-    drone.memory = ControllerMemory()
+    drone.memory = EMPTY_MEMORY
     drone.target = None
     if command.kind == POSITION:
         drone.target = resolve_position_target(drone.state(), command)

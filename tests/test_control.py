@@ -289,10 +289,11 @@ class TestStateTypes:
 # Differential oracle: the controller stack as it was before DroneState and
 # ControllerMemory became NamedTuples and the PD tracking was folded into
 # one velocity loop. Kept verbatim (geometry helpers included) so that any
-# change to the live stack must reproduce its outputs bit for bit. One
-# deliberate change since: ``_o_saturate`` measures a finite vector whose
+# change to the live stack must reproduce its outputs bit for bit. Two
+# deliberate changes since: ``_o_saturate`` measures a finite vector whose
 # norm exceeds the float range in units of its largest component, as
-# ``geometry.saturate`` does.
+# ``geometry.saturate`` does, and each stage follows
+# ``_o_unread_memory_rule``.
 
 def _o_wrap_deg(angle):
     if -180.0 < angle <= 180.0:
@@ -359,6 +360,16 @@ _OState.__qualname__ = "DroneState"
 _OMemory.__qualname__ = "ControllerMemory"
 
 
+# The unread-memory rule: a stage none of whose loops has a derivative gain
+# returns the memory it was given, the same object, instead of recording
+# errors that no derivative term reads (with kd = 0 a loop never reads its
+# memory field). A stage with a non-zero kd records exactly what it did.
+def _o_unread_memory_rule(loops, given, recorded):
+    if any(pd.kd != 0.0 for pd in loops):
+        return recorded
+    return given
+
+
 def _o_velocity_control_step(state, memory, cmd, gains, limits, dt):
     if cmd.kind != "velocity":
         raise ValueError("velocity_control_step requires a velocity command")
@@ -401,6 +412,8 @@ def _o_position_control_step(state, memory, target, target_yaw, gains, limits, d
         pos_err=(ex, ey, ez),
         yaw_err=yaw_err,
     )
+    new_memory = _o_unread_memory_rule(
+        (gains.position, gains.position_yaw), memory, new_memory)
     return v_des, rate_des, new_memory
 
 
@@ -472,6 +485,8 @@ def _o_velocity_loop(state, memory, v_des, rate_des, gains, limits, dt):
         pos_err=memory.pos_err,
         yaw_err=memory.yaw_err,
     )
+    new_memory = _o_unread_memory_rule(
+        (gains.velocity, gains.velocity_yaw), memory, new_memory)
     return new_velocity, new_rate, new_memory
 
 
@@ -544,13 +559,14 @@ _memories = st.tuples(
 @settings(max_examples=500, deadline=None)
 @given(
     position=_vec, yaw=_yaw | _value, velocity=_vec, yaw_rate=_value,
-    charge=st.floats(-0.5, 1.0) | st.just(0.0), memory=_memories,
+    charge=st.floats(-0.5, 1.0) | st.just(0.0), memory=_memories, other=_memories,
     cmd=_commands, resolved=st.none() | st.tuples(_cmd_vec, _yaw),
     gains=_gains, limits=_limits, dt=st.sampled_from([0.1, 0.05]) | st.floats(0.001, 0.5),
 )
 @example(  # kd on all four loops, every saturation and the yaw clamp binding
     position=(0.0, 0.0, 1.0), yaw=170.0, velocity=(0.5, -0.5, 0.1), yaw_rate=30.0,
     charge=0.5, memory=((0.1, 0.2, 0.3), 5.0, (1.0, -1.0, 0.5), 10.0),
+    other=((-0.3, 0.0, 0.1), -2.0, (0.5, 0.5, 0.5), -20.0),
     cmd=Command.position((4.0, -3.0, 2.0), -170.0, "body"), resolved=None,
     gains=GainSet(PDGains(8.0, 0.3), PDGains(3.0, 0.2), PDGains(2.0, 0.5), PDGains(1.5, 0.4)),
     limits=ControllerLimits(0.5, 10.0, 1.0, 50.0), dt=0.1,
@@ -561,6 +577,7 @@ _memories = st.tuples(
 @example(
     position=(0.0, 0.0, 0.0), yaw=0.0, velocity=(0.0, 0.0, 0.0), yaw_rate=0.0,
     charge=1.0, memory=(None, None, None, None),
+    other=((1.0, 2.0, 3.0), 4.0, (5.0, 6.0, 7.0), 8.0),
     cmd=Command.velocity((3.0, 4.0, 0.0)), resolved=None,
     gains=GainSet(PDGains(1.0), PDGains(1.0), PDGains(1.0), PDGains(1.0)),
     limits=ControllerLimits(5.0, 90.0, 5.0, 720.0), dt=1.0,
@@ -568,32 +585,53 @@ _memories = st.tuples(
 @example(
     position=(0.0, 0.0, 0.0), yaw=0.0, velocity=(0.0, 0.0, 0.0), yaw_rate=0.0,
     charge=1.0, memory=(None, None, None, None),
+    other=((1.0, 2.0, 3.0), 4.0, (5.0, 6.0, 7.0), 8.0),
     cmd=Command.position((3.0, 4.0, 0.0)), resolved=((3.0, 4.0, 0.0), 0.0),
     gains=GainSet(PDGains(1.0), PDGains(1.0), PDGains(1.0), PDGains(1.0)),
     limits=ControllerLimits(5.0, 90.0, 5.0, 720.0), dt=1.0,
 )
 def test_control_matches_parent_oracle(position, yaw, velocity, yaw_rate, charge,
-                                       memory, cmd, resolved, gains, limits, dt):
+                                       memory, other, cmd, resolved, gains, limits, dt):
     state = DroneState(position, yaw, velocity, yaw_rate, charge)
     o_state = _OState(position, yaw, velocity, yaw_rate, charge)
     mem = ControllerMemory(*memory)
     o_mem = _OMemory(*memory)
     if cmd.kind == "velocity":
         resolved = None
+    velocity_kd = gains.velocity.kd != 0.0 or gains.velocity_yaw.kd != 0.0
+    position_kd = gains.position.kd != 0.0 or gains.position_yaw.kd != 0.0
     want = _assert_same(drone_control_step, _o_drone_control_step,
                         (state, mem), (o_state, o_mem), cmd, resolved, gains, limits, dt)
     if want is not None:
         _assert_same(integrate, _o_integrate, (state,), (o_state,), want[0], want[1], dt)
+        # The unread-memory rule, on the live stack: no stage on the path
+        # records, so the memory given comes back, the same object.
+        got = drone_control_step(state, mem, cmd, resolved, gains, limits, dt)
+        records = charge > 0.0 and (velocity_kd or (cmd.kind == "position" and position_kd))
+        assert (got[2] is mem) == (not records)
+        # The fields of a stage without a derivative gain are never read:
+        # velocity and yaw rate keep every bit whatever those fields hold.
+        unread = ControllerMemory(
+            *(other[:2] if not velocity_kd else memory[:2]),
+            *(other[2:] if not position_kd else memory[2:]),
+        )
+        assert repr(drone_control_step(state, unread, cmd, resolved, gains, limits, dt)[:2]) \
+            == repr(got[:2])
     if cmd.kind == "velocity":
-        _assert_same(velocity_control_step, _o_velocity_control_step,
-                     (state, mem), (o_state, o_mem), cmd, gains, limits, dt)
+        flown = _assert_same(velocity_control_step, _o_velocity_control_step,
+                             (state, mem), (o_state, o_mem), cmd, gains, limits, dt)
+        if flown is not None and not velocity_kd:
+            assert velocity_control_step(state, mem, cmd, gains, limits, dt)[2] is mem
         return
     target = _assert_same(resolve_position_target, _o_resolve_position_target,
                           (state,), (o_state,), cmd)
     if resolved is not None or target is not None:
-        _assert_same(position_control_step, _o_position_control_step,
-                     (state, mem), (o_state, o_mem), *(resolved or target),
-                     gains, limits, dt)
+        setpoint = _assert_same(position_control_step, _o_position_control_step,
+                                (state, mem), (o_state, o_mem), *(resolved or target),
+                                gains, limits, dt)
+        if setpoint is not None and not position_kd:
+            got = position_control_step(state, mem, *(resolved or target), gains, limits, dt)
+            assert got[2] is mem
 
 
 def _assert_same(live, oracle, live_args, oracle_args, *shared):

@@ -478,3 +478,42 @@ def test_bool_color_channel_rejected(color):
     with pytest.raises(ScenarioError) as info:
         Scenario(lights=(LightSpec(id="l1", position=(0.0, 0.0, 1.0), color=color),))
     assert str(info.value) == "[light l1] color: color must be three integers in [0, 255]"
+
+
+# A bool is an int, so these once validated, rendered "True" or "False" and
+# failed to load: "[drone cf1] yaw: not a number: 'True'".
+_CF1 = DroneSpec(id="cf1")
+_HOVER = Command.velocity((0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("build,location", [
+    (lambda: Scenario(drones=(DroneSpec(id="cf1", yaw=True),)), "[drone cf1] yaw"),
+    (lambda: Scenario(drones=(DroneSpec(id="cf1", position=(0.0, True, 1.0)),)),
+     "[drone cf1] position"),
+    (lambda: Scenario(duration=True), "[scenario] duration"),
+    (lambda: Scenario(noise_seed=False), "[scenario] noise_seed"),
+    (lambda: Scenario(drones=(_CF1,), scripts={"cf1": ((0, _HOVER), (True, _HOVER))}),
+     "[script cf1] commands"),
+    (lambda: Scenario(drones=(_CF1,), scripts={
+        "cf1": ((0, Command("velocity", "world", (0.0, 0.0, False), 0.0)),)}),
+     "[script cf1] commands"),
+    (lambda: Scenario(drones=(_CF1,), waypoints={
+        "cf1": WaypointPlan(speed=True, points=((0.0, 0.0, 1.0),))}),
+     "[waypoints cf1] speed"),
+    (lambda: Scenario(drones=(DroneSpec(id="cf1", gains=GainSet(position=PDGains(True))),)),
+     "[drone cf1] kp_pos"),
+], ids=["drone yaw", "drone position", "duration", "noise_seed", "script tick",
+        "command linear", "waypoint speed", "gain kp"])
+def test_bool_in_a_numeric_field_rejected(build, location):
+    with pytest.raises(ScenarioError) as info:
+        build()
+    assert str(info.value) == f"{location}: a bool is not a number"
+
+
+def test_bool_fields_stay_booleans():
+    # led_on and camera (on or off) are the document's booleans.
+    scenario = Scenario(drones=(
+        DroneSpec(id="lit", led_on=True, camera=CameraConfig()),
+        DroneSpec(id="dark", led_on=False),
+    ))
+    assert load_scenario(render_scenario(scenario)) == scenario

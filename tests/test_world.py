@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 import dronesim.world as world_mod
 from dronesim.battery import BatteryModel
 from dronesim.camera import CameraConfig, detect_sources
-from dronesim.control import VELOCITY, WORLD, Command, GainSet, PDGains
+from dronesim.control import EMPTY_MEMORY, VELOCITY, WORLD, Command, GainSet, PDGains
 from dronesim.geometry import wrap_deg
 from dronesim.rab import RabConfig, make_reading
-from dronesim.scenario import DroneSpec, LightSpec, Scenario, WaypointPlan
+from dronesim.scenario import DroneSpec, LightSpec, Scenario, WaypointPlan, load_scenario_file
 from dronesim.world import (
     CapabilityError,
     ConfigurationError,
@@ -1000,3 +1001,52 @@ def test_step_with_jitter_matches_run_without_reseeding(monkeypatch):
                 (row.vx, row.vy, row.vz), row.yaw_rate_deg_s, row.charge)
         assert (world.rng.gauss_next is None) == (k % 2 == 0), k
     assert world.rng.getstate() == final.rng.getstate()
+
+
+def test_stock_gains_fly_on_the_shared_empty_memory():
+    # kd = 0 on every loop: no stage records memory, through script
+    # switches (velocity and position, body and world), waypoint advances,
+    # parking and grounding, in run() and in step().
+    scenario = Scenario(
+        name="nomemory",
+        duration=60,
+        drones=(
+            DroneSpec(id="scripted", position=(0.0, 0.0, 1.0)),
+            DroneSpec(id="guided", position=(-1.0, 0.0, 1.0)),
+            DroneSpec(id="sinking", position=(1.0, 0.0, 1.0), charge=0.301),
+        ),
+        scripts={
+            "scripted": (
+                (0, Command.velocity((0.3, 0.1, 0.0), 20.0, "body")),
+                (15, Command.position((0.5, 0.5, 1.2), 90.0)),
+                (30, Command.position((0.2, -0.1, 0.0), -45.0, "body")),
+                (45, Command.velocity((0.0, -0.2, 0.1), -10.0)),
+            ),
+            "sinking": ((0, Command.position((1.0, 1.0, 1.0), 30.0)),),
+        },
+        waypoints={"guided": WaypointPlan(
+            speed=1.0, points=((-0.8, 0.0, 1.0), (-0.8, 0.3, 1.0)))},
+    )
+    world, _ = run(create_world(scenario), scenario.duration)
+    assert world.drone("guided").waypoint_idx == 2  # parked
+    assert world.drone("sinking").charge == 0.0
+    assert all(drone.memory is EMPTY_MEMORY for drone in world.drones)
+    world = create_world(scenario)
+    for _ in range(scenario.duration):
+        world = step(world)
+        assert all(drone.memory is EMPTY_MEMORY for drone in world.drones)
+
+
+def test_derivative_gains_keep_their_memory():
+    # flight_paths.scn sets kd on body's four loops and on parker's linear
+    # loops; sinker flies the stock gains. test_golden pins its CSVs.
+    scenario = load_scenario_file(Path(__file__).parent / "golden" / "flight_paths.scn")
+    world, _ = run_scenario(scenario)
+    body, parker, sinker = world.drones
+    # body ends on a velocity command (tick 110), which only the velocity
+    # stage flies; parker holds its final waypoint with a position command.
+    assert body.memory.vel_err is not None and body.memory.yaw_rate_err is not None
+    assert body.memory.pos_err is None
+    assert parker.waypoint_idx == 2
+    assert parker.memory.vel_err is not None and parker.memory.pos_err is not None
+    assert sinker.memory is EMPTY_MEMORY

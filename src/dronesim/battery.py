@@ -24,7 +24,6 @@ from ._value import Value
 
 DEFAULT_COEFFS = (1.0, -0.003, 1.42421402327237e-05, -2.5877842137707736e-08)
 DEFAULT_T_MAX = 427.21
-DEFAULT_CUTOFF = 0.30
 
 ROOT_TOL = 1e-9          # absolute tolerance on t, seconds
 ROOT_MAX_ITER = 60

@@ -156,11 +156,6 @@ class DroneState(NamedTuple):
     charge: float = 1.0
 
 
-# NamedTuple construction without the generated ``__new__``, a Python-level
-# call per drone-tick; the fields go in positionally, in their order.
-_new_tuple = tuple.__new__
-
-
 class ControllerMemory(NamedTuple):
     """Previous-tick errors for the derivative terms.
 
@@ -269,9 +264,9 @@ def position_control_step(
 
     if kd == 0.0 and kdy == 0.0:
         return v_des, rate_des, memory  # no derivative term reads it
-    return v_des, rate_des, _new_tuple(ControllerMemory, (
+    return v_des, rate_des, ControllerMemory(
         memory.vel_err, memory.yaw_rate_err, (ex, ey, ez), yaw_err
-    ))
+    )
 
 
 def drone_control_step(
@@ -372,9 +367,9 @@ def drone_control_step(
             new_rate = max_rate
     if kd == 0.0 and kdy == 0.0:
         return new_velocity, new_rate, memory  # no derivative term reads it
-    return new_velocity, new_rate, _new_tuple(ControllerMemory, (
+    return new_velocity, new_rate, ControllerMemory(
         (ex, ey, ez), rate_err, memory.pos_err, memory.yaw_err
-    ))
+    )
 
 
 def resolve_position_target(state: DroneState, cmd: Command) -> tuple[Vec3, float]:

@@ -7,15 +7,16 @@ settings have defaults matching the stock drone: dt 0.1 s, a 3x3x3 m arena,
 10 m/s speed limit, 90 deg/s yaw rate limit, and the stock battery curve.
 
 ``load_scenario(render_scenario(s))`` reproduces ``s`` exactly (structural
-equality), which the test suite checks over randomized scenarios.
+equality) or ``render_scenario`` raises ``ScenarioError`` at the key whose
+value would not read back equal; the test suite checks this over randomized
+scenarios.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, index
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -199,7 +200,6 @@ def validate_scenario(s: Scenario) -> None:
         for p in plan.points:
             if not is_finite3(p):
                 raise ScenarioError("waypoints must be finite", f"{loc} points")
-    _refuse_bools(s)
 
 
 def is_color(color) -> bool:
@@ -214,26 +214,6 @@ def is_color(color) -> bool:
 _BAD_COLOR = "color must be three integers in [0, 255]"
 
 
-def _refuse_bools(s: Scenario) -> None:
-    """Refuse a bool in any number the document of ``s`` holds: a ``bool``
-    is an ``int``, so it passes every numeric check, but it renders as
-    ``True`` or ``False``, which load_scenario reads as no number. Drones
-    share their gains, limits, camera, RAB and battery objects, so each is
-    looked at once."""
-    seen = set()  # ids of the objects looked at
-    for kind, header, spec in _sections(s):
-        for part, keys in _NUMBER_KEYS[kind]:
-            holder = spec
-            if part is not None:
-                holder = getattr(spec, part)
-                if holder is None or id(holder) in seen:  # no camera, or looked at
-                    continue
-                seen.add(id(holder))
-            for key, value_of, holds_bool in keys:
-                if holds_bool(value_of(holder)):
-                    raise ScenarioError("a bool is not a number", f"[{header}] {key}")
-
-
 # --------------------------------------------------------------------------
 # The field table. One row per key drives parsing, rendering, the rejection
 # of unknown keys and the check for required ones.
@@ -246,9 +226,6 @@ class _Codec(NamedTuple):
     parse: Callable[[str], Any]
     render: Callable[[Any], str]
     block: bool = False  # a multi-line value, converted one indented line at a time
-    # Whether a value holds a bool where a number belongs; None for values
-    # that hold no numbers.
-    holds_bool: Optional[Callable[[Any], bool]] = None
 
 
 def _checked(convert, failure: str):
@@ -303,37 +280,46 @@ def _parse_command(line: str) -> tuple[int, Command]:
     return tick, Command(parts[1], parts[2], linear, angular)
 
 
-_is_bool = bool.__instancecheck__
+def _render_int(value) -> str:
+    if value.__class__ is bool:
+        raise ValueError("a bool is not a number")
+    try:
+        return str(index(value))
+    except TypeError:
+        raise ValueError(f"not an integer: {value!r}") from None
 
 
-def _bool_among(numbers) -> bool:
-    return bool in map(type, numbers)
-
-
-def _commands_hold_bool(entries) -> bool:
-    for tick, command in entries:
-        if _is_bool(tick) or _is_bool(command.angular) or _bool_among(command.linear):
-            return True
-    return False
+def _render_float(value) -> str:
+    """An int as itself, any other number as the float it equals. A value
+    that no float equals is refused: it would load as a different number."""
+    if value.__class__ is bool:
+        raise ValueError("a bool is not a number")
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if number != value:
+        raise ValueError(f"not a number: {value!r}")
+    return str(value) if value.__class__ is int else repr(number)
 
 
 def _render_floats(values) -> str:
-    return " ".join(repr(v) for v in values)
+    return " ".join(map(_render_float, values))
 
 
 def _render_command(entry: tuple[int, Command]) -> str:
     tick, cmd = entry
-    return f"{tick} {cmd.kind} {cmd.frame} {_render_floats(cmd.linear)} {cmd.angular!r}"
+    return (f"{_render_int(tick)} {cmd.kind} {cmd.frame} {_render_floats(cmd.linear)} "
+            f"{_render_float(cmd.angular)}")
 
 
 _STR = _Codec(str.strip, str)
-_INT = _Codec(_checked(int, "not an integer: {!r}"), str, holds_bool=_is_bool)
-_FLOAT = _Codec(_checked(float, "not a number: {!r}"), repr, holds_bool=_is_bool)
+_INT = _Codec(_checked(int, "not an integer: {!r}"), _render_int)
+_FLOAT = _Codec(_checked(float, "not a number: {!r}"), _render_float)
 _VERSION = _Codec(_parse_version, str)
-_VEC3 = _Codec(lambda text: _parse_numbers(text, 3, "expected three numbers"), _render_floats,
-               holds_bool=_bool_among)
+_VEC3 = _Codec(lambda text: _parse_numbers(text, 3, "expected three numbers"), _render_floats)
 _FOUR_FLOATS = _Codec(lambda text: _parse_numbers(text, 4, "expected 4 numbers"),
-                      _render_floats, holds_bool=_bool_among)
+                      _render_floats)
 # Channel ranges are checked by validate_scenario.
 _COLOR = _Codec(lambda text: _parse_numbers(text, 3, "expected three integers", int),
                 lambda color: " ".join(str(ch) for ch in color))
@@ -343,9 +329,8 @@ _HEX = _Codec(_checked(lambda text: bytes.fromhex(text.replace(" ", "")), "not h
               bytes.hex)
 _POINTS = _Codec(
     lambda line: _parse_numbers(line, 3, f"expected three numbers per point, got {line!r}"),
-    _render_floats, block=True,
-    holds_bool=lambda points: _bool_among(chain.from_iterable(points)))
-_COMMANDS = _Codec(_parse_command, _render_command, block=True, holds_bool=_commands_hold_bool)
+    _render_floats, block=True)
+_COMMANDS = _Codec(_parse_command, _render_command, block=True)
 
 # When a key is written: only away from its default, always, or always and
 # it must be present when read.
@@ -432,21 +417,6 @@ _SECTIONS = {
 _TABLES = {"scenario": _SCENARIO_FIELDS, **_SECTIONS}
 
 
-def _number_keys(fields) -> tuple:
-    """The keys of ``fields`` whose values hold numbers, each as (key, getter
-    of its value, its codec's holds_bool), grouped by the spec's attribute
-    that holds them (None: the spec itself): ((attribute, keys), ...)."""
-    parts: dict = {}
-    for f in fields:
-        if f.codec.holds_bool is not None:
-            part, _, group = (f.group or "").partition(".")
-            path = f"{group}.{f.attr}" if group else f.attr
-            parts.setdefault(part or None, []).append(
-                (f.key, attrgetter(path), f.codec.holds_bool))
-    return tuple((part, tuple(keys)) for part, keys in parts.items())
-
-
-_NUMBER_KEYS = {kind: _number_keys(fields) for kind, fields in _TABLES.items()}
 # Each table's keys, which tell a section's unknown keys.
 _SCENARIO_KEYS = frozenset(f.key for f in _SCENARIO_FIELDS)
 _SECTION_KEYS = {kind: frozenset(f.key for f in fields) for kind, fields in _SECTIONS.items()}
@@ -648,7 +618,9 @@ def _build_drone(location: str, ident: str, spec: dict, groups: dict, raw: dict,
 # Rendering
 
 def render_scenario(s: Scenario) -> str:
-    """Serialize a scenario so that load_scenario reproduces it exactly."""
+    """Serialize a scenario so that load_scenario reproduces it exactly, or
+    raise ScenarioError at the key whose value would not read back equal:
+    a bool, a non-integer in an integer field, or a number no float equals."""
     return "\n".join(_render_section(header, _TABLES[kind], spec)
                      for kind, header, spec in _sections(s))
 
@@ -674,13 +646,20 @@ def _render_section(header: str, fields, spec) -> str:
         if holder is None:  # no camera
             continue
         value = getattr(holder, f.attr)
+        if value is None:  # no broadcast, or no camera
+            continue
+        # Rendered before the default is skipped, so that a value equal to
+        # it (False for 0) is checked too.
+        try:
+            if f.codec.block:
+                text = "".join([f"\n    {f.codec.render(item)}" for item in value])
+            else:
+                text = f" {f.codec.render(value)}"
+        except ValueError as exc:
+            raise ScenarioError(str(exc), f"[{header}] {f.key}") from exc
         if f.presence == _OPTIONAL and value == _default(f, holder):
             continue
-        if f.codec.block:
-            lines.append(f"{f.key} =")
-            lines.extend(f"    {f.codec.render(item)}" for item in value)
-        else:
-            lines.append(f"{f.key} = {f.codec.render(value)}")
+        lines.append(f"{f.key} ={text}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dronesim.battery import DEFAULT_COEFFS
-from dronesim.cli import main
+from dronesim.cli import build_parser, main
 from dronesim.experiments import EXPERIMENT_NAMES, variants
 from dronesim.geometry import wrap_deg
 from dronesim.scenario import load_scenario
@@ -734,3 +736,16 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         lines = result.stdout.splitlines()
         assert lines[-2].startswith("c0=") and lines[-1] == "numpy is blocked"
+
+
+def test_every_subcommand_and_flag_is_in_the_readme():
+    readme = (REPO / "README.md").read_text()
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert [name for name in commands if f"dronesim {name} " not in readme] == []
+    flags = {flag for sub in commands.values() for action in sub._actions
+             if not isinstance(action, argparse._HelpAction)
+             for flag in action.option_strings if flag.startswith("--")}
+    assert "--emit-scenario" in flags  # the walk found the flags
+    # Whole flags only: --out is not found inside --out-dir.
+    assert {flag for flag in flags if not re.search(re.escape(flag) + r"(?![\w-])", readme)} == set()

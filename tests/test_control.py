@@ -222,6 +222,7 @@ class TestDroneControlStep:
             sys.setprofile(previous)
         return names
 
+    @pytest.mark.parametrize("yaw_kd", [0.2, 0.0])
     @pytest.mark.parametrize("velocity,linear,memory,pd,limits,dt", [
         ((0.2, -0.1, 0.0), (0.3, -0.2, 0.1), ControllerMemory((0.1, 0.0, 0.0), 1.0),
          PDGains(2.0, 0.1), ControllerLimits(), DT),
@@ -231,11 +232,17 @@ class TestDroneControlStep:
          PDGains(1.0), ControllerLimits(5.0, 90.0, 5.0, 720.0), 1.0),
     ])
     def test_world_velocity_within_limits_makes_no_python_calls(
-            self, velocity, linear, memory, pd, limits, dt):
+            self, velocity, linear, memory, pd, limits, dt, yaw_kd):
         state = hover_state(velocity=velocity, yaw_rate=5.0)
-        gains = GainSet(velocity=pd, velocity_yaw=PDGains(3.0, 0.2))
+        gains = GainSet(velocity=pd, velocity_yaw=PDGains(3.0, yaw_kd))
         cmd = Command.velocity(linear, 10.0)
-        assert self.python_calls_inside(state, memory, cmd, None, gains, limits, dt) == []
+        calls = self.python_calls_inside(state, memory, cmd, None, gains, limits, dt)
+        if pd.kd or yaw_kd:
+            # A stage with a derivative gain records its errors in a new
+            # memory: the one call is its constructor.
+            assert calls == [ControllerMemory.__new__.__code__.co_name]
+        else:  # the stock gains, which every drone without a kd flies on
+            assert calls == []
 
     def test_position_within_limits_calls_only_the_position_loop(self):
         state = hover_state(position=(1.0, 2.0, 1.0), yaw=10.0)

@@ -1,4 +1,6 @@
 import re
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from dronesim.scenario import (
     load_scenario_file,
     render_scenario,
 )
+from dronesim.world import run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -480,8 +483,9 @@ def test_bool_color_channel_rejected(color):
     assert str(info.value) == "[light l1] color: color must be three integers in [0, 255]"
 
 
-# A bool is an int, so these once validated, rendered "True" or "False" and
-# failed to load: "[drone cf1] yaw: not a number: 'True'".
+# A bool is an int, so these validate, but rendered "True" or "False" they
+# would fail to load ("[drone cf1] yaw: not a number: 'True'"): render_scenario
+# refuses them, a value equal to its key's default (False for 0) included.
 _CF1 = DroneSpec(id="cf1")
 _HOVER = Command.velocity((0.0, 0.0, 0.0))
 
@@ -506,7 +510,7 @@ _HOVER = Command.velocity((0.0, 0.0, 0.0))
         "command linear", "waypoint speed", "gain kp"])
 def test_bool_in_a_numeric_field_rejected(build, location):
     with pytest.raises(ScenarioError) as info:
-        build()
+        render_scenario(build())
     assert str(info.value) == f"{location}: a bool is not a number"
 
 
@@ -516,4 +520,45 @@ def test_bool_fields_stay_booleans():
         DroneSpec(id="lit", led_on=True, camera=CameraConfig()),
         DroneSpec(id="dark", led_on=False),
     ))
+    assert load_scenario(render_scenario(scenario)) == scenario
+
+
+def test_bool_numbers_fly_like_their_int_twins():
+    # Only the document refuses a bool: a scenario built with one flies
+    # exactly as with the int it equals.
+    def build(one, zero):
+        return Scenario(
+            duration=30,
+            drones=(DroneSpec(id="s", position=(0.0, one, 1.0), yaw=one,
+                              gains=GainSet(position=PDGains(one))),
+                    DroneSpec(id="w")),
+            scripts={"s": ((zero, Command("velocity", "world", (0.5, zero, 0.0), one)),
+                           (one, Command("position", "world", (1.0, zero, 1.0), zero)))},
+            waypoints={"w": WaypointPlan(speed=one, points=((0.0, 0.0, one),))},
+        )
+
+    flown, twin = (run_scenario(build(one, zero))[1] for one, zero in ((True, False), (1, 0)))
+    assert {i: t.rows for i, t in flown.items()} == {i: t.rows for i, t in twin.items()}
+
+
+# Each of these once rendered a document that load_scenario rejects.
+@pytest.mark.parametrize("build,message", [
+    (lambda: Scenario(duration=3.5), "[scenario] duration: not an integer: 3.5"),
+    (lambda: Scenario(noise_seed=1.5), "[scenario] noise_seed: not an integer: 1.5"),
+    (lambda: Scenario(drones=(DroneSpec(id="a", rab=RabConfig(payload_max=2.5)),)),
+     "[drone a] rab_payload_max: not an integer: 2.5"),
+    (lambda: Scenario(drones=(_CF1,), scripts={"cf1": ((0, _HOVER), (1.5, _HOVER))}),
+     "[script cf1] commands: not an integer: 1.5"),
+    (lambda: Scenario(dt=Decimal("0.1")), "[scenario] dt: not a number: Decimal('0.1')"),
+    (lambda: Scenario(dt=Fraction(1, 10)), "[scenario] dt: not a number: Fraction(1, 10)"),
+], ids=["duration", "noise_seed", "rab_payload_max", "script tick", "Decimal", "Fraction"])
+def test_number_that_would_not_read_back_refused_at_render(build, message):
+    with pytest.raises(ScenarioError) as info:
+        render_scenario(build())
+    assert str(info.value) == message
+
+
+def test_exact_decimal_renders_as_its_float():
+    scenario = Scenario(dt=Decimal("0.5"))
+    assert "dt = 0.5\n" in render_scenario(scenario)
     assert load_scenario(render_scenario(scenario)) == scenario

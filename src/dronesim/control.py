@@ -80,20 +80,6 @@ class Command(Value):
 
 HOVER = Command.velocity(ZERO3)
 
-_new = object.__new__
-_set_kind, _set_frame, _set_linear, _set_angular = Command._setters
-
-
-def _world_velocity(linear: Vec3) -> Command:
-    """``Command(VELOCITY, WORLD, linear, 0.0)`` for a ``linear`` already
-    checked finite: the four slots set directly, without ``_validate``."""
-    command = _new(Command)
-    _set_kind(command, VELOCITY)
-    _set_frame(command, WORLD)
-    _set_linear(command, linear)
-    _set_angular(command, 0.0)
-    return command
-
 
 class PDGains(Value):
     """Proportional gain ``kp`` (1/s) and derivative gain ``kd`` (dimensionless)."""
@@ -285,6 +271,12 @@ def drone_control_step(
     velocity loop; the achieved yaw rate is additionally clamped at the
     position-mode rate limit.
 
+    ``resolved_target`` is ``cmd`` already resolved to the world frame, or
+    None to resolve it here: for a position command the (target,
+    target_yaw) of ``resolve_position_target``, for a velocity command the
+    (linear, yaw_rate) flown in place of ``cmd.linear``/``cmd.angular``
+    (a body-frame ``cmd.linear`` is rotated only when it is None).
+
     The velocity and yaw-rate loops run here, in this frame: each axis and
     the yaw rate get kp*err + kd*d(err)/dt (no derivative term without
     history), clamped to the acceleration limits. A vector within its limit
@@ -302,13 +294,16 @@ def drone_control_step(
     max_speed = limits.max_linear_speed
     velocity_mode = cmd.kind == VELOCITY
     if velocity_mode:
-        linear = cmd.linear
-        if cmd.frame == BODY:
-            linear = body_to_world(linear, yaw)
+        if resolved_target is None:
+            linear = cmd.linear
+            if cmd.frame == BODY:
+                linear = body_to_world(linear, yaw)
+            rate_des = cmd.angular
+        else:
+            linear, rate_des = resolved_target
         dx, dy, dz = linear
         if not _sqrt(dx * dx + dy * dy + dz * dz) <= max_speed:
             dx, dy, dz = saturate(linear, max_speed)
-        rate_des = cmd.angular
     else:
         if resolved_target is None:
             target, target_yaw = resolve_position_target(state, cmd)

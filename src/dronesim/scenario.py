@@ -174,10 +174,13 @@ def validate_scenario(s: Scenario) -> None:
             raise ScenarioError(f"unknown drone {drone_id!r}", loc)
         prev = -1
         for tick, cmd in entries:
-            if tick < 0:
-                raise ScenarioError("script ticks must be >= 0", loc)
-            if tick < prev:
-                raise ScenarioError("script ticks must be non-decreasing", loc)
+            try:
+                if tick < 0:
+                    raise ScenarioError("script ticks must be >= 0", loc)
+                if tick < prev:
+                    raise ScenarioError("script ticks must be non-decreasing", loc)
+            except TypeError:  # a tick that does not compare with 0 or the last
+                raise ScenarioError(f"script tick {tick!r} cannot be ordered", loc) from None
             prev = tick
             if not isinstance(cmd, Command):
                 raise ScenarioError("script entries must hold commands", loc)

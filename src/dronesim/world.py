@@ -4,8 +4,8 @@ A world holds an ordered registry of drones plus static lights, and advances
 in fixed dt ticks. The per-tick phase order is a hard contract (required for
 determinism and pinned by tests):
 
-    1. controllers  -- scripts/waypoint plans update commands, PD loops
-                       store the new velocity and yaw rate on the drone
+    1. controllers  -- scripts update commands, waypoint plans setpoints,
+                       PD loops store the new velocity and yaw rate
     2. kinematics   -- semi-implicit Euler integration of that stored
                        motion, arena clamping, optional seeded jitter
     3. battery      -- discharge curve advances; a drone whose charge
@@ -50,7 +50,6 @@ from .control import (
     EMPTY_MEMORY,
     HOVER,
     POSITION,
-    _world_velocity,
     drone_control_step,
     next_pose,
     resolve_position_target,
@@ -83,6 +82,8 @@ class _Drone:
 
     __slots__ = (
         "spec", "x", "y", "z", "yaw", "vx", "vy", "vz", "yaw_rate", "charge",
+        # The command flown and its world-frame setpoint (None: resolve the
+        # command); guidance flies HOVER with its (velocity, 0.0) as target.
         "command", "target", "memory", "battery_t", "depleted",
         "led_color", "led_on", "led_staged_color", "led_staged_on",
         # Payloads queued this tick, and those queued last tick, which
@@ -425,8 +426,8 @@ def _advance(world: World) -> None:
     dt = world.dt
     tick = world.tick
 
-    # Phase 1: scripts/guidance update commands, controllers store the new
-    # motion on each drone for phase 2 (no step here reads another drone).
+    # Phase 1: scripts set commands and guidance setpoints, controllers store
+    # the new motion on each drone for phase 2 (no step here reads another).
     for drone, (entries, plan, broadcast, gains, limits) in zip(world.drones, world._programs):
         if entries:
             _apply_script(entries, drone, tick)
@@ -559,7 +560,7 @@ def _apply_script(entries: tuple, drone: _Drone, tick: int) -> None:
 
 def _apply_waypoints(plan: WaypointPlan, drone: _Drone) -> None:
     """Advance past a reached waypoint of ``plan``, then steer at the
-    current one, or park at the last."""
+    current one through ``drone.target``, or park at the last."""
     idx = drone.waypoint_idx
     points = plan.points
     if idx >= len(points):
@@ -583,7 +584,7 @@ def _apply_waypoints(plan: WaypointPlan, drone: _Drone) -> None:
         dz = wz - drone.z
         dist = _sqrt(dx * dx + dy * dy + dz * dz)
     if dist == 0.0:
-        drone.command = HOVER
+        drone.target = None
     else:
         s = plan.speed / dist
         lx = dx * s
@@ -594,7 +595,7 @@ def _apply_waypoints(plan: WaypointPlan, drone: _Drone) -> None:
                 "the guidance velocity speed / distance is not finite",
                 f"[waypoints {drone.spec.id}] speed",
             )
-        drone.command = _world_velocity((lx, ly, lz))
+        drone.target = ((lx, ly, lz), 0.0)
 
 
 def _switch(drone: _Drone, command: Command) -> None:

@@ -13,6 +13,7 @@ from dronesim.control import (
     ControllerMemory,
     DroneState,
     GainSet,
+    HOVER,
     PDGains,
     drone_control_step,
     integrate,
@@ -20,6 +21,8 @@ from dronesim.control import (
     resolve_position_target,
     velocity_control_step,
 )
+from dronesim.scenario import DroneSpec, Scenario, WaypointPlan
+from dronesim.world import create_world, step
 
 DT = 0.1
 
@@ -243,6 +246,35 @@ class TestDroneControlStep:
             assert calls == [ControllerMemory.__new__.__code__.co_name]
         else:  # the stock gains, which every drone without a kd flies on
             assert calls == []
+
+    def test_guided_step_constructs_no_command(self):
+        # Guidance writes its setpoint to the drone's target: no frame of
+        # a step() builds, checks or returns a Command.
+        scenario = Scenario(
+            drones=(DroneSpec(id="a", position=(0.0, 0.0, 1.0)),
+                    DroneSpec(id="b", position=(1.0, 1.0, 1.0),
+                              gains=GainSet(velocity=PDGains(8.0, 0.3)))),
+            waypoints={"a": WaypointPlan(speed=0.5, points=((3.0, 0.0, 1.0), (3.0, 3.0, 1.0))),
+                       "b": WaypointPlan(speed=2.0, points=((-2.0, 1.0, 2.0),))},
+        )
+        world = step(create_world(scenario))
+        commands = []
+
+        def profile(frame, event, arg):
+            if event == "call" and isinstance(frame.f_locals.get("self"), Command):
+                commands.append(frame.f_code.co_name)
+            elif event == "return" and isinstance(arg, Command):
+                commands.append(frame.f_code.co_name)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            stepped = step(world)
+        finally:
+            sys.setprofile(previous)
+        assert commands == []
+        for drone in stepped.drones:
+            assert drone.command is HOVER and drone.target is not None
 
     def test_position_within_limits_calls_only_the_position_loop(self):
         state = hover_state(position=(1.0, 2.0, 1.0), yaw=10.0)
@@ -692,3 +724,51 @@ def test_plain_state_tuple_matches_drone_state(position, yaw, velocity, yaw_rate
     if cmd.kind == "velocity":
         _assert_same(velocity_control_step, velocity_control_step,
                      (state, mem), (fields, mem), cmd, gains, limits, dt)
+
+
+# A velocity command resolved to the world frame: the cascade flies
+# ``resolved_target`` = (linear, yaw_rate) in place of the command, as
+# waypoint guidance does under HOVER, with the same bits as the command
+# itself. Setpoints reach past the speed limit and past the float range
+# of their squares.
+_setpoint = st.one_of(_finite, st.sampled_from([0.0, -0.0, 1e200, -1e300, 1.7e308]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    position=_vec, yaw=_yaw | _value, velocity=_vec, yaw_rate=_value,
+    charge=st.floats(-0.5, 1.0) | st.just(0.0), memory=_memories,
+    linear=st.tuples(_setpoint, _setpoint, _setpoint),
+    gains=_gains, limits=_limits, dt=st.sampled_from([0.1, 0.05]) | st.floats(0.001, 0.5),
+)
+@example(  # kd on both velocity-stage loops, with history, setpoint past the limit
+    position=(0.0, 0.0, 1.0), yaw=170.0, velocity=(0.5, -0.5, 0.1), yaw_rate=30.0,
+    charge=0.5, memory=((0.1, 0.2, 0.3), 5.0, None, None), linear=(4.0, -3.0, 2.0),
+    gains=GainSet(PDGains(8.0, 0.3), PDGains(3.0, 0.2), PDGains(2.0, 0.5), PDGains(1.5, 0.4)),
+    limits=ControllerLimits(0.5, 10.0, 1.0, 50.0), dt=0.1,
+)
+@example(  # squares that overflow, an empty battery
+    position=(0.0, 0.0, 0.0), yaw=0.0, velocity=(0.0, 0.0, 0.0), yaw_rate=0.0,
+    charge=0.0, memory=(None, None, None, None), linear=(1e200, -1e300, 1.7e308),
+    gains=GainSet(), limits=ControllerLimits(), dt=0.1,
+)
+def test_resolved_velocity_target_matches_the_command(position, yaw, velocity, yaw_rate, charge,
+                                                      memory, linear, gains, limits, dt):
+    state = DroneState(position, yaw, velocity, yaw_rate, charge)
+    mem = ControllerMemory(*memory)
+    flown = []
+    for cmd, resolved in ((HOVER, (linear, 0.0)), (Command.velocity(linear), None)):
+        try:
+            flown.append(drone_control_step(state, mem, cmd, resolved, gains, limits, dt))
+        except Exception as exc:  # noqa: BLE001 (the type is compared)
+            flown.append(type(exc))
+    guided, commanded = flown
+    if not isinstance(commanded, tuple):
+        assert guided is commanded
+        return
+    assert [c.hex() for c in guided[0]] == [c.hex() for c in commanded[0]]
+    assert guided[1].hex() == commanded[1].hex()
+    assert repr(guided[2]) == repr(commanded[2])
+    assert (guided[2] is mem) == (commanded[2] is mem)
+    if gains.velocity.kd == 0.0 and gains.velocity_yaw.kd == 0.0:
+        assert guided[2] is mem

@@ -61,8 +61,9 @@ def _number(lo, hi, decimal=True):
 
 # The numbers of one scenario: (name, key, lo, hi, whether the key is an
 # integer, plain value). A script tick's range is its one value, so the
-# ticks stay in order; no tick is a Decimal, since validation compares
-# ticks and a Decimal does not compare with a numpy integer.
+# ticks stay in order; no tick is a Decimal, since a Decimal does not
+# compare with a numpy integer and validation refuses ticks that do not
+# order (see test_unordered_script_ticks_are_refused_at_the_script).
 _SLOTS = (
     ("dt", "[scenario] dt", 0.01, 1.0, False, 0.1),
     ("duration", "[scenario] duration", 0, 50, True, 10),
@@ -131,3 +132,16 @@ def test_rendered_numbers_read_back_equal_or_are_refused_at_their_key(case):
         assert not all(_plain(value, integer) for value, integer in drawn[exc.location])
     else:
         assert load_scenario(text) == scenario
+
+
+@pytest.mark.parametrize("ticks", [
+    (np.int64(0), Decimal(1)),
+    ("1",),
+    (0, "1"),
+], ids=["int64 then Decimal", "str", "int then str"])
+def test_unordered_script_ticks_are_refused_at_the_script(ticks):
+    cmd = Command.velocity((0.1, 0.0, 0.0))
+    with pytest.raises(ScenarioError) as caught:
+        Scenario(drones=(DroneSpec(id="a"),), scripts={"a": tuple((t, cmd) for t in ticks)})
+    assert caught.value.location == "[script a]"
+

@@ -464,21 +464,3 @@ def test_dict_defaults_are_not_shared():
     first, second = Scenario(), Scenario()
     assert first.scripts == {} and first.scripts is not second.scripts
     assert first.waypoints == {} and first.waypoints is not second.waypoints
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
-def test_guidance_command_matches_validated_command(linear):
-    from dronesim.control import _world_velocity
-
-    direct = _world_velocity(linear)
-    checked = Command(VELOCITY, WORLD, linear, 0.0)
-    assert type(direct) is Command
-    assert direct == checked and hash(direct) == hash(checked)
-    assert repr(direct) == repr(checked)
-    assert direct.linear is linear
-    for name in Command._fields:
-        with pytest.raises(AttributeError):
-            setattr(direct, name, None)
-    with pytest.raises(AttributeError):
-        direct.extra = 1

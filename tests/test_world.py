@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import dronesim.world as world_mod
 from dronesim.battery import BatteryModel
 from dronesim.camera import CameraConfig, detect_sources
-from dronesim.control import EMPTY_MEMORY, VELOCITY, WORLD, Command, GainSet, PDGains
+from dronesim.control import EMPTY_MEMORY, HOVER, POSITION, Command, GainSet, PDGains
 from dronesim.geometry import wrap_deg
 from dronesim.rab import RabConfig, make_reading
 from dronesim.scenario import DroneSpec, LightSpec, Scenario, WaypointPlan, load_scenario_file
@@ -231,15 +231,30 @@ class TestRun:
                     row.yaw_rate_deg_s, row.charge,
                 )
             if tick < ticks:
-                stepped = step(stepped)
+                previous, stepped = stepped, step(stepped)
+                for drone_id, plan in waypoints.items():
+                    self.check_guidance(plan, previous.drone(drone_id), stepped.drone(drone_id))
         rows = full[f"cf{n - 1}"].rows
         assert rows[grounded_at - 1].charge > 0.0 and rows[grounded_at].charge == 0.0
-        # Guidance commands are plain world-frame velocity commands.
-        for drone_id in waypoints:
-            command = end.drone(drone_id).command
-            if command.kind == VELOCITY:
-                assert command == Command(VELOCITY, WORLD, command.linear, 0.0)
-                assert repr(command) == repr(Command.velocity(command.linear))
+
+    @staticmethod
+    def check_guidance(plan, before, after):
+        """A guided drone flies HOVER with the tick's world-frame velocity
+        setpoint in ``target``: ``plan.speed`` towards its current waypoint
+        from where the tick started. A parked drone holds a position."""
+        if after.waypoint_idx >= len(plan.points):
+            assert after.command.kind == POSITION
+            return
+        assert after.command is HOVER
+        wx, wy, wz = plan.points[after.waypoint_idx]
+        dx, dy, dz = wx - before.x, wy - before.y, wz - before.z
+        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if dist == 0.0:
+            assert after.target is None
+            return
+        s = plan.speed / dist
+        assert after.target == ((dx * s, dy * s, dz * s), 0.0)
+        assert math.hypot(*after.target[0]) == pytest.approx(plan.speed, rel=1e-12)
 
     def test_charge_monotone_nonincreasing(self):
         _, trajs = run_scenario(hover_scenario(duration=200))

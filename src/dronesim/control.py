@@ -9,11 +9,15 @@ rate:
   clamped to the configured limits, and integrates it into the new velocity
   state (``velocity_control_step``).
 
-The whole cascade runs in one frame, ``drone_control_step``: the position
-loop for position commands, then the velocity and yaw-rate loops with their
-clamps written inline. A vector within its limit is only measured there;
-``geometry.saturate`` scales one past it. The two loops stay available on
-their own as ``position_control_step`` (which the cascade calls) and
+The whole cascade is ``drone_control_step``, on plain floats: it takes a
+drone's pose, velocity and charge as separate numbers and returns the new
+velocity, yaw rate and memory, with no tuple built on the way. It reads the
+gains and limits once each, from their derived ``flat`` tuples. Position
+commands go through ``_position_loop``, the one copy of the position PD
+law; the velocity and yaw-rate loops and their clamps are written inline.
+A vector within its limit is only measured there; ``geometry.saturate``
+scales one past it. The two loops stay available on their own, in tuple
+form: ``position_control_step`` (which runs ``_position_loop``) and
 ``velocity_control_step`` (which runs the cascade on a velocity command).
 
 All of these are pure functions: per-drone derivative memory is passed in
@@ -97,9 +101,13 @@ class PDGains(Value):
 
 
 class GainSet(Value):
-    """Gains for the four loops: linear/yaw x velocity/position."""
+    """Gains for the four loops: linear/yaw x velocity/position.
 
-    __slots__ = ("velocity", "velocity_yaw", "position", "position_yaw")
+    ``flat`` is derived: the (kp, kd) of each loop in field order, eight
+    numbers in one tuple, as the cascade reads them."""
+
+    __slots__ = ("velocity", "velocity_yaw", "position", "position_yaw", "flat")
+    _fields = __slots__[:4]
     _defaults = {
         "velocity": PDGains(10.0, 0.0),
         "velocity_yaw": PDGains(3.0, 0.0),
@@ -107,11 +115,19 @@ class GainSet(Value):
         "position_yaw": PDGains(1.0, 0.0),
     }
 
+    def _validate(self):
+        object.__setattr__(self, "flat", tuple(
+            [gain for pd in self._astuple() for gain in (pd.kp, pd.kd)]))
+
 
 class ControllerLimits(Value):
-    """Limits on linear speed (m/s), yaw rate (deg/s) and their accelerations."""
+    """Limits on linear speed (m/s), yaw rate (deg/s) and their accelerations.
 
-    __slots__ = ("max_linear_speed", "max_yaw_rate", "max_linear_accel", "max_yaw_accel")
+    ``flat`` is derived: the four limits in field order, in one tuple."""
+
+    __slots__ = ("max_linear_speed", "max_yaw_rate", "max_linear_accel", "max_yaw_accel",
+                 "flat")
+    _fields = __slots__[:4]
     _defaults = {
         "max_linear_speed": 10.0,
         "max_yaw_rate": 90.0,
@@ -126,6 +142,7 @@ class ControllerLimits(Value):
                 raise ValueError(f"{name} must be > 0")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        object.__setattr__(self, "flat", self._astuple())
 
 
 class DroneState(NamedTuple):
@@ -188,10 +205,12 @@ def velocity_control_step(
     """
     if cmd.kind != VELOCITY:
         raise ValueError("velocity_control_step requires a velocity command")
-    if state[4] <= 0.0:
-        # The cascade reads the charge only to ground the drone.
-        state = (*state[:4], 1.0)
-    return drone_control_step(state, memory, cmd, None, gains, limits, dt)
+    (x, y, z), yaw, (vx, vy, vz), rate, _ = state
+    # The cascade reads the charge only to ground the drone.
+    vx, vy, vz, rate, memory = drone_control_step(
+        x, y, z, yaw, vx, vy, vz, rate, 1.0, memory, cmd, None, gains, limits, dt
+    )
+    return (vx, vy, vz), rate, memory
 
 
 def position_control_step(
@@ -215,12 +234,22 @@ def position_control_step(
     ``gains.position.kd`` and ``gains.position_yaw.kd`` are both 0; else its
     position and yaw errors are replaced by this tick's.
     """
-    (px, py, pz), yaw, _, _, _ = state
-    ex = target[0] - px
-    ey = target[1] - py
-    ez = target[2] - pz
-    kp = gains.position.kp
-    kd = gains.position.kd
+    (x, y, z), yaw, _, _, _ = state
+    _, _, _, _, kp, kd, kpy, kdy = gains.flat
+    max_speed, max_rate, _, _ = limits.flat
+    dx, dy, dz, rate_des, memory = _position_loop(
+        x, y, z, yaw, memory, target, target_yaw, kp, kd, kpy, kdy, max_speed, max_rate, dt
+    )
+    return (dx, dy, dz), rate_des, memory
+
+
+def _position_loop(x, y, z, yaw, memory, target, target_yaw, kp, kd, kpy, kdy,
+                   max_speed, max_rate, dt):
+    """``position_control_step`` on plain floats: returns (dx, dy, dz,
+    rate_des, memory), the desired velocity and yaw rate."""
+    ex = target[0] - x
+    ey = target[1] - y
+    ez = target[2] - z
     if kd != 0.0 and memory.pos_err is not None:
         pex, pey, pez = memory.pos_err
         dx = kp * ex + kd * (ex - pex) / dt
@@ -230,43 +259,33 @@ def position_control_step(
         dx = kp * ex
         dy = kp * ey
         dz = kp * ez
-    v_des = (dx, dy, dz)
-    max_speed = limits.max_linear_speed
     if not _sqrt(dx * dx + dy * dy + dz * dz) <= max_speed:
-        v_des = saturate(v_des, max_speed)
+        dx, dy, dz = saturate((dx, dy, dz), max_speed)
 
     yaw_err = wrap_deg(target_yaw - yaw)
-    kpy = gains.position_yaw.kp
-    kdy = gains.position_yaw.kd
     if kdy != 0.0 and memory.yaw_err is not None:
         rate_des = kpy * yaw_err + kdy * (yaw_err - memory.yaw_err) / dt
     else:
         rate_des = kpy * yaw_err
-    max_rate = limits.max_yaw_rate
     if rate_des < -max_rate:
         rate_des = -max_rate
     elif rate_des > max_rate:
         rate_des = max_rate
 
     if kd == 0.0 and kdy == 0.0:
-        return v_des, rate_des, memory  # no derivative term reads it
-    return v_des, rate_des, ControllerMemory(
+        return dx, dy, dz, rate_des, memory  # no derivative term reads it
+    return dx, dy, dz, rate_des, ControllerMemory(
         memory.vel_err, memory.yaw_rate_err, (ex, ey, ez), yaw_err
     )
 
 
-def drone_control_step(
-    state: DroneState,
-    memory: ControllerMemory,
-    cmd: Command,
-    resolved_target: Optional[tuple[Vec3, float]],
-    gains: GainSet,
-    limits: ControllerLimits,
-    dt: float,
-) -> tuple[Vec3, float, ControllerMemory]:
-    """Full per-tick controller: returns (new velocity, new yaw rate, memory).
+def drone_control_step(x, y, z, yaw, vx, vy, vz, yaw_rate, charge, memory, cmd,
+                       resolved_target, gains, limits, dt):
+    """Full per-tick controller on one drone's pose (``x``, ``y``, ``z``,
+    ``yaw``), velocity (``vx``, ``vy``, ``vz``, ``yaw_rate``) and charge:
+    returns the new (vx, vy, vz, yaw_rate, memory).
 
-    A drone with an empty battery is grounded: both outputs are zero.
+    A drone with an empty battery is grounded: all four outputs are zero.
     Position commands run the position loop and feed its setpoint into the
     velocity loop; the achieved yaw rate is additionally clamped at the
     position-mode rate limit.
@@ -280,7 +299,9 @@ def drone_control_step(
     The velocity and yaw-rate loops run here, in this frame: each axis and
     the yaw rate get kp*err + kd*d(err)/dt (no derivative term without
     history), clamped to the acceleration limits. A vector within its limit
-    is only measured; ``saturate`` is called past it (or for NaN).
+    is only measured; ``saturate`` is called past it (or for NaN). The
+    gains and limits are read once each, from ``GainSet.flat`` and
+    ``ControllerLimits.flat``.
 
     Each stage records its errors only if one of its loops has a non-zero
     ``kd``: the position stage for ``gains.position``/``position_yaw``, the
@@ -288,10 +309,10 @@ def drone_control_step(
     derivative gain anywhere on the path, the memory given is returned, the
     same object.
     """
-    _, yaw, (vx, vy, vz), rate, charge = state
     if charge <= 0.0:
-        return ZERO3, 0.0, memory
-    max_speed = limits.max_linear_speed
+        return 0.0, 0.0, 0.0, 0.0, memory
+    kp, kd, kpy, kdy, pkp, pkd, pkpy, pkdy = gains.flat
+    max_speed, max_rate, max_accel, max_yaw_accel = limits.flat
     velocity_mode = cmd.kind == VELOCITY
     if velocity_mode:
         if resolved_target is None:
@@ -306,29 +327,25 @@ def drone_control_step(
             dx, dy, dz = saturate(linear, max_speed)
     else:
         if resolved_target is None:
-            target, target_yaw = resolve_position_target(state, cmd)
-        else:
-            target, target_yaw = resolved_target
-        (dx, dy, dz), rate_des, memory = position_control_step(
-            state, memory, target, target_yaw, gains, limits, dt
+            resolved_target = _position_target(x, y, z, yaw, cmd)
+        target, target_yaw = resolved_target
+        dx, dy, dz, rate_des, memory = _position_loop(
+            x, y, z, yaw, memory, target, target_yaw, pkp, pkd, pkpy, pkdy,
+            max_speed, max_rate, dt,
         )
 
     ex = dx - vx
     ey = dy - vy
     ez = dz - vz
-    pd = gains.velocity
-    kp = pd.kp
-    kd = pd.kd
-    prev = memory.vel_err
-    if kd != 0.0 and prev is not None:
-        ax = kp * ex + kd * (ex - prev[0]) / dt
-        ay = kp * ey + kd * (ey - prev[1]) / dt
-        az = kp * ez + kd * (ez - prev[2]) / dt
+    if kd != 0.0 and memory.vel_err is not None:
+        pex, pey, pez = memory.vel_err
+        ax = kp * ex + kd * (ex - pex) / dt
+        ay = kp * ey + kd * (ey - pey) / dt
+        az = kp * ez + kd * (ez - pez) / dt
     else:
         ax = kp * ex
         ay = kp * ey
         az = kp * ez
-    max_accel = limits.max_linear_accel
     if not _sqrt(ax * ax + ay * ay + az * az) <= max_accel:
         ax, ay, az = saturate((ax, ay, az), max_accel)
     # Defensive cap: tracking approaches the (already saturated) setpoint
@@ -336,33 +353,27 @@ def drone_control_step(
     nx = vx + ax * dt
     ny = vy + ay * dt
     nz = vz + az * dt
-    new_velocity = (nx, ny, nz)
     if not _sqrt(nx * nx + ny * ny + nz * nz) <= max_speed:
-        new_velocity = saturate(new_velocity, max_speed)
+        nx, ny, nz = saturate((nx, ny, nz), max_speed)
 
-    rate_err = rate_des - rate
-    pd = gains.velocity_yaw
-    kdy = pd.kd
-    prev = memory.yaw_rate_err
-    if kdy != 0.0 and prev is not None:
-        a = pd.kp * rate_err + kdy * (rate_err - prev) / dt
+    rate_err = rate_des - yaw_rate
+    if kdy != 0.0 and memory.yaw_rate_err is not None:
+        a = kpy * rate_err + kdy * (rate_err - memory.yaw_rate_err) / dt
     else:
-        a = pd.kp * rate_err
-    max_yaw_accel = limits.max_yaw_accel
+        a = kpy * rate_err
     if a < -max_yaw_accel:
         a = -max_yaw_accel
     elif a > max_yaw_accel:
         a = max_yaw_accel
-    new_rate = rate + a * dt
+    new_rate = yaw_rate + a * dt
     if not velocity_mode:
-        max_rate = limits.max_yaw_rate
         if new_rate < -max_rate:
             new_rate = -max_rate
         elif new_rate > max_rate:
             new_rate = max_rate
     if kd == 0.0 and kdy == 0.0:
-        return new_velocity, new_rate, memory  # no derivative term reads it
-    return new_velocity, new_rate, ControllerMemory(
+        return nx, ny, nz, new_rate, memory  # no derivative term reads it
+    return nx, ny, nz, new_rate, ControllerMemory(
         (ex, ey, ez), rate_err, memory.pos_err, memory.yaw_err
     )
 
@@ -371,15 +382,16 @@ def resolve_position_target(state: DroneState, cmd: Command) -> tuple[Vec3, floa
     """Resolve a position command to a world-frame (target, target_yaw)."""
     if cmd.kind != POSITION:
         raise ValueError("not a position command")
+    (x, y, z), yaw, _, _, _ = state
+    return _position_target(x, y, z, yaw, cmd)
+
+
+def _position_target(x, y, z, yaw, cmd):
+    """``resolve_position_target`` on plain floats, for a position ``cmd``."""
     if cmd.frame == BODY:
-        (x, y, z), yaw, _, _, _ = state
-        off = body_to_world(cmd.linear, yaw)
-        target = (x + off[0], y + off[1], z + off[2])
-        target_yaw = wrap_deg(yaw + cmd.angular)
-    else:
-        target = cmd.linear
-        target_yaw = wrap_deg(cmd.angular)
-    return target, target_yaw
+        ox, oy, oz = body_to_world(cmd.linear, yaw)
+        return (x + ox, y + oy, z + oz), wrap_deg(yaw + cmd.angular)
+    return cmd.linear, wrap_deg(cmd.angular)
 
 
 def next_pose(x, y, z, yaw, vx, vy, vz, yaw_rate: float, dt: float):

@@ -173,14 +173,19 @@ def validate_scenario(s: Scenario) -> None:
         if drone_id not in known:
             raise ScenarioError(f"unknown drone {drone_id!r}", loc)
         prev = -1
-        for tick, cmd in entries:
+        for entry in entries:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+                raise ScenarioError("script entries must be (tick, command) pairs", loc)
+            tick, cmd = entry
             try:
-                if tick < 0:
-                    raise ScenarioError("script ticks must be >= 0", loc)
-                if tick < prev:
-                    raise ScenarioError("script ticks must be non-decreasing", loc)
-            except TypeError:  # a tick that does not compare with 0 or the last
+                error = ("script ticks must be >= 0" if tick < 0 else
+                         "script ticks must be non-decreasing" if tick < prev else None)
+            # A tick that does not compare with 0 or the last, or whose
+            # comparison has no truth value (an array of several numbers).
+            except (TypeError, ValueError):
                 raise ScenarioError(f"script tick {tick!r} cannot be ordered", loc) from None
+            if error:
+                raise ScenarioError(error, loc)
             prev = tick
             if not isinstance(cmd, Command):
                 raise ScenarioError("script entries must hold commands", loc)

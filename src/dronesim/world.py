@@ -435,12 +435,10 @@ def _advance(world: World) -> None:
             _apply_waypoints(plan, drone)
         if broadcast is not None:
             drone.outbox += (broadcast,)
-        # The fields of drone.state() as a plain tuple: the cascade reads
-        # them by position.
-        (drone.vx, drone.vy, drone.vz), drone.yaw_rate, drone.memory = drone_control_step(
-            ((drone.x, drone.y, drone.z), drone.yaw,
-             (drone.vx, drone.vy, drone.vz), drone.yaw_rate, drone.charge),
-            drone.memory, drone.command, drone.target, gains, limits, dt,
+        drone.vx, drone.vy, drone.vz, drone.yaw_rate, drone.memory = drone_control_step(
+            drone.x, drone.y, drone.z, drone.yaw, drone.vx, drone.vy, drone.vz,
+            drone.yaw_rate, drone.charge, drone.memory, drone.command, drone.target,
+            gains, limits, dt,
         )
 
     # Phase 2: kinematics (semi-implicit Euler) + arena clamp + noise hook.

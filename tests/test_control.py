@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -30,6 +32,22 @@ DT = 0.1
 def hover_state(position=(0.0, 0.0, 1.0), yaw=0.0, velocity=(0.0, 0.0, 0.0),
                 yaw_rate=0.0, charge=1.0):
     return DroneState(position, yaw, velocity, yaw_rate, charge)
+
+
+def flat_args(state, memory, cmd, resolved_target, gains, limits, dt):
+    """The arguments of ``drone_control_step`` for a state in DroneState
+    field order."""
+    (x, y, z), yaw, (vx, vy, vz), yaw_rate, charge = state
+    return (x, y, z, yaw, vx, vy, vz, yaw_rate, charge,
+            memory, cmd, resolved_target, gains, limits, dt)
+
+
+def tuple_step(*args):
+    """``drone_control_step`` in its tuple form: (state, memory, cmd,
+    resolved_target, gains, limits, dt) in, (velocity, yaw rate, memory)
+    out, as the oracle below takes and returns them."""
+    vx, vy, vz, yaw_rate, memory = drone_control_step(*flat_args(*args))
+    return (vx, vy, vz), yaw_rate, memory
 
 
 class TestVelocityStep:
@@ -166,13 +184,11 @@ class TestIntegrate:
 
 class TestDroneControlStep:
     def test_empty_battery_grounds_outputs(self):
-        state = hover_state(velocity=(1.0, 0.0, 0.0), charge=0.0)
         cmd = Command.velocity((1.0, 0.0, 0.0))
-        v, rate, _ = drone_control_step(
-            state, ControllerMemory(), cmd, None, GainSet(), ControllerLimits(), DT
-        )
-        assert v == (0.0, 0.0, 0.0)
-        assert rate == 0.0
+        mem = ControllerMemory()
+        got = drone_control_step(0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0,
+                                 mem, cmd, None, GainSet(), ControllerLimits(), DT)
+        assert got == (0.0, 0.0, 0.0, 0.0, mem) and got[4] is mem
 
     def test_position_mode_converges_with_default_gains(self):
         state = hover_state()
@@ -182,9 +198,7 @@ class TestDroneControlStep:
         limits = ControllerLimits()
         target = ((1.5, -0.5, 2.0), 30.0)
         for _ in range(80):  # 8 s
-            v, rate, mem = drone_control_step(
-                state, mem, cmd, target, gains, limits, DT
-            )
+            v, rate, mem = tuple_step(state, mem, cmd, target, gains, limits, DT)
             state = integrate(state, v, rate, DT)
         err = math.dist(state.position, (1.5, -0.5, 2.0))
         assert err < 0.01
@@ -199,9 +213,7 @@ class TestDroneControlStep:
         limits = ControllerLimits()
         peak = 0.0
         for _ in range(70):
-            v, rate, mem = drone_control_step(
-                state, mem, cmd, target, gains, limits, DT
-            )
+            v, rate, mem = tuple_step(state, mem, cmd, target, gains, limits, DT)
             state = integrate(state, v, rate, DT)
             peak = max(peak, abs(state.yaw_rate))
         assert peak < 90.0
@@ -210,7 +222,9 @@ class TestDroneControlStep:
     @staticmethod
     def python_calls_inside(*args):
         """Names of the Python functions called during one
-        ``drone_control_step(*args)``, the step itself left out."""
+        ``drone_control_step`` on ``flat_args(*args)``, the step itself
+        left out."""
+        args = flat_args(*args)
         names = []
 
         def profile(frame, event, arg):
@@ -282,8 +296,56 @@ class TestDroneControlStep:
         cmd = Command.position(*target)
         names = self.python_calls_inside(
             state, ControllerMemory(), cmd, target, GainSet(), ControllerLimits(), DT)
-        assert names.count("position_control_step") == 1
-        assert set(names) <= {"position_control_step", "wrap_deg"}
+        # The one position loop, which position_control_step also runs.
+        assert names.count("_position_loop") == 1
+        assert set(names) <= {"_position_loop", "wrap_deg"}
+
+
+def _gains_flat(gains):
+    return tuple(x for pd in (gains.velocity, gains.velocity_yaw, gains.position,
+                              gains.position_yaw) for x in (pd.kp, pd.kd))
+
+
+def _limits_flat(limits):
+    return (limits.max_linear_speed, limits.max_yaw_rate,
+            limits.max_linear_accel, limits.max_yaw_accel)
+
+
+class TestFlatLoopConstants:
+    """``GainSet.flat`` and ``ControllerLimits.flat``, the numbers the
+    cascade reads, follow the fields however an instance was built."""
+
+    GAINS = (PDGains(8.0, 0.3), PDGains(3.0, 0.2), PDGains(2.0, 0.5), PDGains(1.5))
+    LIMITS = (0.5, 10.0, 1.0, 50.0)
+
+    def built(self, cls, values, other):
+        fields = dict(zip(cls._fields, values))
+        made = [cls(), cls(*values), cls(**fields), cls()._replace(**fields),
+                cls(*values)._replace(**{cls._fields[0]: other})]
+        for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            made += [clone(value) for value in made[:5]]
+        return made
+
+    def test_gain_set(self):
+        for gains in self.built(GainSet, self.GAINS, PDGains(4.0, 0.1)):
+            assert gains.flat == _gains_flat(gains)
+        assert GainSet().flat == (10.0, 0.0, 3.0, 0.0, 1.0, 0.0, 1.0, 0.0)
+
+    def test_controller_limits(self):
+        for limits in self.built(ControllerLimits, self.LIMITS, 2.0):
+            assert limits.flat == _limits_flat(limits)
+        assert ControllerLimits().flat == (10.0, 90.0, 5.0, 720.0)
+
+    @pytest.mark.parametrize("cls,values", [(GainSet, GAINS), (ControllerLimits, LIMITS)])
+    def test_equal_fields_compare_and_hash_equal(self, cls, values):
+        first = cls(*values)
+        for second in (cls(**dict(zip(cls._fields, values))), copy.deepcopy(first),
+                       pickle.loads(pickle.dumps(first)), cls()._replace(
+                           **dict(zip(cls._fields, values)))):
+            assert first == second and hash(first) == hash(second)
+            assert repr(first) == repr(second)
+        assert "flat" not in cls._fields and "flat" not in repr(first)
+        assert first != cls()
 
 
 class TestCommandValidation:
@@ -332,7 +394,8 @@ class TestStateTypes:
 # deliberate changes since: ``_o_saturate`` measures a finite vector whose
 # norm exceeds the float range in units of its largest component, as
 # ``geometry.saturate`` does, and each stage follows
-# ``_o_unread_memory_rule``.
+# ``_o_unread_memory_rule``. The live cascade takes and returns plain
+# floats; ``tuple_step`` gives it the oracle's tuple form.
 
 def _o_wrap_deg(angle):
     if -180.0 < angle <= 180.0:
@@ -639,13 +702,13 @@ def test_control_matches_parent_oracle(position, yaw, velocity, yaw_rate, charge
         resolved = None
     velocity_kd = gains.velocity.kd != 0.0 or gains.velocity_yaw.kd != 0.0
     position_kd = gains.position.kd != 0.0 or gains.position_yaw.kd != 0.0
-    want = _assert_same(drone_control_step, _o_drone_control_step,
+    want = _assert_same(tuple_step, _o_drone_control_step,
                         (state, mem), (o_state, o_mem), cmd, resolved, gains, limits, dt)
     if want is not None:
         _assert_same(integrate, _o_integrate, (state,), (o_state,), want[0], want[1], dt)
         # The unread-memory rule, on the live stack: no stage on the path
         # records, so the memory given comes back, the same object.
-        got = drone_control_step(state, mem, cmd, resolved, gains, limits, dt)
+        got = tuple_step(state, mem, cmd, resolved, gains, limits, dt)
         records = charge > 0.0 and (velocity_kd or (cmd.kind == "position" and position_kd))
         assert (got[2] is mem) == (not records)
         # The fields of a stage without a derivative gain are never read:
@@ -654,7 +717,7 @@ def test_control_matches_parent_oracle(position, yaw, velocity, yaw_rate, charge
             *(other[:2] if not velocity_kd else memory[:2]),
             *(other[2:] if not position_kd else memory[2:]),
         )
-        assert repr(drone_control_step(state, unread, cmd, resolved, gains, limits, dt)[:2]) \
+        assert repr(tuple_step(state, unread, cmd, resolved, gains, limits, dt)[:2]) \
             == repr(got[:2])
     if cmd.kind == "velocity":
         flown = _assert_same(velocity_control_step, _o_velocity_control_step,
@@ -687,8 +750,8 @@ def _assert_same(live, oracle, live_args, oracle_args, *shared):
     return outcomes[1][0]
 
 
-# The control steps read ``state`` by position: a DroneState and the plain
-# tuple of its fields (as the world's phase 1 passes) give the same bits.
+# The tuple-form steps read ``state`` by position: a DroneState and the
+# plain tuple of its fields give the same bits.
 @settings(max_examples=500, deadline=None)
 @given(
     position=_vec, yaw=_yaw | _value, velocity=_vec, yaw_rate=_value,
@@ -714,7 +777,7 @@ def test_plain_state_tuple_matches_drone_state(position, yaw, velocity, yaw_rate
     fields = (position, yaw, velocity, yaw_rate, charge)
     state = DroneState(*fields)
     mem = ControllerMemory(*memory)
-    _assert_same(drone_control_step, drone_control_step,
+    _assert_same(tuple_step, tuple_step,
                  (state, mem), (fields, mem), cmd, resolved, gains, limits, dt)
     _assert_same(resolve_position_target, resolve_position_target,
                  (state,), (fields,), cmd)
@@ -759,7 +822,7 @@ def test_resolved_velocity_target_matches_the_command(position, yaw, velocity, y
     flown = []
     for cmd, resolved in ((HOVER, (linear, 0.0)), (Command.velocity(linear), None)):
         try:
-            flown.append(drone_control_step(state, mem, cmd, resolved, gains, limits, dt))
+            flown.append(tuple_step(state, mem, cmd, resolved, gains, limits, dt))
         except Exception as exc:  # noqa: BLE001 (the type is compared)
             flown.append(type(exc))
     guided, commanded = flown

@@ -562,3 +562,22 @@ def test_exact_decimal_renders_as_its_float():
     scenario = Scenario(dt=Decimal("0.5"))
     assert "dt = 0.5\n" in render_scenario(scenario)
     assert load_scenario(render_scenario(scenario)) == scenario
+
+
+# Each of these once raised a bare ValueError or TypeError from unpacking
+# the entry, not a ScenarioError at the script.
+@pytest.mark.parametrize("entries", [
+    ((0, _HOVER, 1),),
+    ((0,),),
+    (5,),
+], ids=["three items", "one item", "not a sequence"])
+def test_script_entry_that_is_not_a_pair_is_refused_at_the_script(entries):
+    with pytest.raises(ScenarioError) as info:
+        Scenario(drones=(_CF1,), scripts={"cf1": entries})
+    assert info.value.location == "[script cf1]"
+    assert "(tick, command) pairs" in str(info.value)
+
+
+def test_script_entry_as_a_list_pair_still_flies():
+    listed = Scenario(drones=(_CF1,), scripts={"cf1": ([0, _HOVER],)})
+    assert listed.scripts["cf1"][0][1] is _HOVER

@@ -138,7 +138,8 @@ def test_rendered_numbers_read_back_equal_or_are_refused_at_their_key(case):
     (np.int64(0), Decimal(1)),
     ("1",),
     (0, "1"),
-], ids=["int64 then Decimal", "str", "int then str"])
+    (np.array([0, 1]),),
+], ids=["int64 then Decimal", "str", "int then str", "array of two"])
 def test_unordered_script_ticks_are_refused_at_the_script(ticks):
     cmd = Command.velocity((0.1, 0.0, 0.0))
     with pytest.raises(ScenarioError) as caught:

@@ -113,61 +113,44 @@ _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 def validate_scenario(s: Scenario) -> None:
-    if not _NAME_RE.fullmatch(s.name):
-        raise ScenarioError(
-            "name must be alphanumeric with . _ - only", "[scenario] name"
-        )
-    if s.dt <= 0.0 or not math.isfinite(s.dt):
-        raise ScenarioError("dt must be > 0", "[scenario] dt")
-    if s.duration < 0:
-        raise ScenarioError("duration must be >= 0", "[scenario] duration")
+    """Apply every checked row of the field table at its ``[section] key``,
+    section by section in the order ``render_scenario`` writes them, then
+    the rules that relate several rows. A check that raises TypeError or
+    ValueError (a value of the wrong type) fails."""
+    for kind, header, spec in _sections(s):
+        for key, attr, checks in _CHECKED[kind]:
+            value = getattr(spec, attr)
+            for holds, message in checks:
+                try:
+                    if holds(value):
+                        continue
+                except (TypeError, ValueError):
+                    pass
+                raise ScenarioError(message, f"[{header}] {key}")
+
     if not (is_finite3(s.arena_min) and is_finite3(s.arena_max)):
         raise ScenarioError("arena bounds must be finite", "[scenario] arena")
-    for axis in range(3):
-        if s.arena_min[axis] >= s.arena_max[axis]:
-            raise ScenarioError(
-                "arena_min must be strictly below arena_max on every axis",
-                "[scenario] arena",
-            )
-    if s.noise_position_std < 0.0:
-        raise ScenarioError("noise std must be >= 0", "[scenario] noise_position_std")
-    if not math.isfinite(s.noise_position_std):
-        raise ScenarioError("noise std must be finite", "[scenario] noise_position_std")
+    if any(lo >= hi for lo, hi in zip(s.arena_min, s.arena_max)):
+        raise ScenarioError("arena_min must be strictly below arena_max on every axis",
+                            "[scenario] arena")
     ids = [d.id for d in s.drones]
     if len(set(ids)) != len(ids):
         raise ScenarioError("duplicate drone id", "[scenario] drones")
-    known = set(ids)
     (lo_x, lo_y, lo_z), (hi_x, hi_y, hi_z) = s.arena_min, s.arena_max
     for d in s.drones:
-        if not _NAME_RE.fullmatch(d.id):
-            raise ScenarioError("bad drone id", f"[drone {d.id}] id")
-        if not is_finite3(d.position):
-            raise ScenarioError("position must be finite", f"[drone {d.id}] position")
         x, y, z = d.position
         if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y and lo_z <= z <= hi_z):
             raise ConfigurationError("initial position outside arena",
                                      f"[drone {d.id}] position")
-        if not math.isfinite(d.yaw):
-            raise ScenarioError("yaw must be finite", f"[drone {d.id}] yaw")
-        if not 0.0 <= d.charge <= 1.0:
-            raise ScenarioError("charge must be in [0, 1]", f"[drone {d.id}] charge")
         if d.rab_broadcast is not None and len(d.rab_broadcast) > d.rab.payload_max:
             raise ScenarioError(
                 f"broadcast payload exceeds payload_max {d.rab.payload_max}",
                 f"[drone {d.id}] rab_broadcast",
             )
-        if not is_color(d.led_color):
-            raise ScenarioError(_BAD_COLOR, f"[drone {d.id}] led_color")
-    for light in s.lights:
-        if not _NAME_RE.fullmatch(light.id):
-            raise ScenarioError("bad light id", f"[light {light.id}] id")
-        if not is_finite3(light.position):
-            raise ScenarioError("position must be finite", f"[light {light.id}] position")
-        if not is_color(light.color):
-            raise ScenarioError(_BAD_COLOR, f"[light {light.id}] color")
     light_ids = [l.id for l in s.lights]
     if len(set(light_ids)) != len(light_ids):
         raise ScenarioError("duplicate light id", "[scenario] lights")
+    known = set(ids)
     for drone_id, entries in s.scripts.items():
         loc = f"[script {drone_id}]"
         if drone_id not in known:
@@ -189,25 +172,12 @@ def validate_scenario(s: Scenario) -> None:
             prev = tick
             if not isinstance(cmd, Command):
                 raise ScenarioError("script entries must hold commands", loc)
-    for drone_id, plan in s.waypoints.items():
+    for drone_id in s.waypoints:
         loc = f"[waypoints {drone_id}]"
         if drone_id not in known:
             raise ScenarioError(f"unknown drone {drone_id!r}", loc)
         if drone_id in s.scripts:
-            raise ScenarioError(
-                "a drone cannot have both a script and a waypoint plan", loc
-            )
-        for name in ("speed", "threshold"):
-            value = getattr(plan, name)
-            if not value > 0.0:
-                raise ScenarioError(f"{name} must be > 0", f"{loc} {name}")
-            if not math.isfinite(value):
-                raise ScenarioError(f"{name} must be finite", f"{loc} {name}")
-        if not plan.points:
-            raise ScenarioError("at least one waypoint required", f"{loc} points")
-        for p in plan.points:
-            if not is_finite3(p):
-                raise ScenarioError("waypoints must be finite", f"{loc} points")
+            raise ScenarioError("a drone cannot have both a script and a waypoint plan", loc)
 
 
 def is_color(color) -> bool:
@@ -223,8 +193,8 @@ _BAD_COLOR = "color must be three integers in [0, 255]"
 
 
 # --------------------------------------------------------------------------
-# The field table. One row per key drives parsing, rendering, the rejection
-# of unknown keys and the check for required ones.
+# The field table. One row per key drives parsing, rendering, validation,
+# the rejection of unknown keys and the check for required ones.
 
 
 class _Codec(NamedTuple):
@@ -328,7 +298,6 @@ _VERSION = _Codec(_parse_version, str)
 _VEC3 = _Codec(lambda text: _parse_numbers(text, 3, "expected three numbers"), _render_floats)
 _FOUR_FLOATS = _Codec(lambda text: _parse_numbers(text, 4, "expected 4 numbers"),
                       _render_floats)
-# Channel ranges are checked by validate_scenario.
 _COLOR = _Codec(lambda text: _parse_numbers(text, 3, "expected three integers", int),
                 lambda color: " ".join(str(ch) for ch in color))
 _BOOL = _Codec(_parse_bool, lambda on: "true" if on else "false")
@@ -351,6 +320,8 @@ class _Field(NamedTuple):
     group: Optional[str]  # None: an attribute of the spec; else a key of _GROUPS
     attr: str
     presence: int = _OPTIONAL
+    # (holds, message) pairs that validate_scenario applies to the value.
+    checks: tuple = ()
 
 
 # Objects that several drone keys fill in, by attribute path from the spec:
@@ -367,22 +338,38 @@ _GROUPS = {
     "battery": (_STOCK["battery"], "battery"),
 }
 
+_POSITION_CHECKS = ((is_finite3, "position must be finite"),)
+_COLOR_CHECKS = ((is_color, _BAD_COLOR),)
+
+
+def _positive(name: str) -> tuple:
+    return (lambda v: v > 0.0, f"{name} must be > 0"), (math.isfinite, f"{name} must be finite")
+
+
 _SCENARIO_FIELDS = (
     _Field("format_version", _VERSION, None, "format_version", _ALWAYS),
-    _Field("name", _STR, None, "name", _ALWAYS),
-    _Field("dt", _FLOAT, None, "dt", _ALWAYS),
-    _Field("duration", _INT, None, "duration", _ALWAYS),
+    _Field("name", _STR, None, "name", _ALWAYS,
+           ((_NAME_RE.fullmatch, "name must be alphanumeric with . _ - only"),)),
+    _Field("dt", _FLOAT, None, "dt", _ALWAYS,
+           ((lambda v: v > 0.0 and math.isfinite(v), "dt must be > 0"),)),
+    _Field("duration", _INT, None, "duration", _ALWAYS,
+           ((lambda v: not v < 0, "duration must be >= 0"),)),
     _Field("arena_min", _VEC3, None, "arena_min", _ALWAYS),
     _Field("arena_max", _VEC3, None, "arena_max", _ALWAYS),
-    _Field("noise_seed", _INT, None, "noise_seed"),
-    _Field("noise_position_std", _FLOAT, None, "noise_position_std"),
+    # random.Random(None) would seed from the OS.
+    _Field("noise_seed", _INT, None, "noise_seed", _OPTIONAL,
+           ((lambda v: v is not None, "noise seed must not be None"),)),
+    _Field("noise_position_std", _FLOAT, None, "noise_position_std", _OPTIONAL,
+           ((lambda v: not v < 0.0, "noise std must be >= 0"),
+            (math.isfinite, "noise std must be finite"))),
 )
 # The named sections, ``[kind ident]``.
 _SECTIONS = {
     "drone": (
-        _Field("position", _VEC3, None, "position", _ALWAYS),
-        _Field("yaw", _FLOAT, None, "yaw", _ALWAYS),
-        _Field("charge", _FLOAT, None, "charge", _ALWAYS),
+        _Field("position", _VEC3, None, "position", _ALWAYS, _POSITION_CHECKS),
+        _Field("yaw", _FLOAT, None, "yaw", _ALWAYS, ((math.isfinite, "yaw must be finite"),)),
+        _Field("charge", _FLOAT, None, "charge", _ALWAYS,
+               ((lambda v: 0.0 <= v <= 1.0, "charge must be in [0, 1]"),)),
         _Field("kp_vel", _FLOAT, "gains.velocity", "kp"),
         _Field("kd_vel", _FLOAT, "gains.velocity", "kd"),
         _Field("kp_vel_yaw", _FLOAT, "gains.velocity_yaw", "kp"),
@@ -400,8 +387,9 @@ _SECTIONS = {
         _Field("camera_yaw_offset", _FLOAT, "camera", "mount_yaw_offset_deg"),
         _Field("rab_range", _FLOAT, "rab", "range_m"),
         _Field("rab_payload_max", _INT, "rab", "payload_max"),
-        _Field("rab_broadcast", _HEX, None, "rab_broadcast"),
-        _Field("led_color", _COLOR, None, "led_color"),
+        _Field("rab_broadcast", _HEX, None, "rab_broadcast", _OPTIONAL,
+               ((lambda v: v is None or isinstance(v, bytes), "broadcast must be bytes"),)),
+        _Field("led_color", _COLOR, None, "led_color", _OPTIONAL, _COLOR_CHECKS),
         _Field("led_on", _BOOL, None, "led_on"),
         _Field("battery_coeffs", _FOUR_FLOATS, "battery", "coeffs"),
         _Field("battery_tmax", _FLOAT, "battery", "t_max"),
@@ -409,16 +397,18 @@ _SECTIONS = {
         _Field("battery_load_factor", _FLOAT, "battery", "load_factor"),
     ),
     "light": (
-        _Field("position", _VEC3, None, "position", _REQUIRED),
-        _Field("color", _COLOR, None, "color", _ALWAYS),
+        _Field("position", _VEC3, None, "position", _REQUIRED, _POSITION_CHECKS),
+        _Field("color", _COLOR, None, "color", _ALWAYS, _COLOR_CHECKS),
     ),
     "script": (
         _Field("commands", _COMMANDS, None, "commands", _REQUIRED),
     ),
     "waypoints": (
-        _Field("speed", _FLOAT, None, "speed", _REQUIRED),
-        _Field("threshold", _FLOAT, None, "threshold", _ALWAYS),
-        _Field("points", _POINTS, None, "points", _REQUIRED),
+        _Field("speed", _FLOAT, None, "speed", _REQUIRED, _positive("speed")),
+        _Field("threshold", _FLOAT, None, "threshold", _ALWAYS, _positive("threshold")),
+        _Field("points", _POINTS, None, "points", _REQUIRED,
+               ((len, "at least one waypoint required"),
+                (lambda points: all(map(is_finite3, points)), "waypoints must be finite"))),
     ),
 }
 # Every table by the kind of section it reads, ``[scenario]`` included.
@@ -428,6 +418,12 @@ _TABLES = {"scenario": _SCENARIO_FIELDS, **_SECTIONS}
 # Each table's keys, which tell a section's unknown keys.
 _SCENARIO_KEYS = frozenset(f.key for f in _SCENARIO_FIELDS)
 _SECTION_KEYS = {kind: frozenset(f.key for f in fields) for kind, fields in _SECTIONS.items()}
+# The checked rows of each kind as (key, attribute, checks). A drone's or a
+# light's id, the name of its section rather than a key, is checked first.
+_CHECKED = {kind: tuple((f.key, f.attr, f.checks) for f in fields if f.checks)
+            for kind, fields in _TABLES.items()}
+for _kind in ("drone", "light"):
+    _CHECKED[_kind] = (("id", "id", ((_NAME_RE.fullmatch, f"bad {_kind} id"),)), *_CHECKED[_kind])
 # The drone keys of each group, in table order.
 _GROUP_KEYS = {
     group: tuple(f.key for f in _SECTIONS["drone"] if f.group == group) for group in _GROUPS

@@ -57,7 +57,7 @@ from .control import (
 from .geometry import Vec3, wrap_deg
 from .rab import PayloadError, RabReading, make_reading
 from .scenario import (  # noqa: F401 (ConfigurationError is re-exported)
-    ConfigurationError, DroneSpec, Scenario, WaypointPlan, is_color,
+    _BAD_COLOR, ConfigurationError, DroneSpec, Scenario, WaypointPlan, is_color,
 )
 from .trajectory import Trajectory, TrajectoryRow
 
@@ -329,7 +329,7 @@ def set_led(world: World, drone_id: str, color: tuple[int, int, int], on: bool) 
     """
     drone = world.drone(drone_id)
     if not is_color(color):
-        raise ValueError("color must be three integers in [0, 255]")
+        raise ValueError(_BAD_COLOR)
     drone.led_staged_color = (int(color[0]), int(color[1]), int(color[2]))
     drone.led_staged_on = bool(on)
 

@@ -692,6 +692,27 @@ _memories = st.tuples(
     gains=GainSet(PDGains(1.0), PDGains(1.0), PDGains(1.0), PDGains(1.0)),
     limits=ControllerLimits(5.0, 90.0, 5.0, 720.0), dt=1.0,
 )
+# Each derivative term with history and no limit binding, on values where
+# kd * (e - pe) / dt and kd / dt * (e - pe) differ in the last bit: one
+# position command for the two outer loops, one velocity command for the
+# two inner ones. A zero velocity and yaw rate pass the setpoint into the
+# recorded velocity errors unrounded.
+@example(
+    position=(0.0, 0.0, 1.0), yaw=10.0, velocity=(0.0, 0.0, 0.0), yaw_rate=0.0,
+    charge=1.0, memory=((0.24, 0.08, -0.05), -1.4, (0.0, 0.03, -0.36), 2.6),
+    other=(None, None, None, None),
+    cmd=Command.position((0.49, -0.29, 1.12), 8.8), resolved=None,
+    gains=GainSet(PDGains(2.3, 0.22), PDGains(1.7, 0.26), PDGains(0.9, 0.2), PDGains(0.8, 0.32)),
+    limits=ControllerLimits(10.0, 90.0, 50.0, 7200.0), dt=0.03,
+)
+@example(
+    position=(0.0, 0.0, 1.0), yaw=10.0, velocity=(0.0, 0.0, 0.0), yaw_rate=0.0,
+    charge=1.0, memory=((0.39, 0.35, 0.44), -0.1, None, None),
+    other=(None, None, None, None),
+    cmd=Command.velocity((-0.41, -0.1, 0.01), 2.9), resolved=None,
+    gains=GainSet(PDGains(2.3, 0.49), PDGains(1.7, 0.2), PDGains(0.9, 0.07), PDGains(0.8, 0.07)),
+    limits=ControllerLimits(10.0, 90.0, 50.0, 7200.0), dt=0.03,
+)
 def test_control_matches_parent_oracle(position, yaw, velocity, yaw_rate, charge,
                                        memory, other, cmd, resolved, gains, limits, dt):
     state = DroneState(position, yaw, velocity, yaw_rate, charge)

@@ -6,6 +6,7 @@ never a traceback. The rest can only come from the library and are raised
 directly.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from dronesim.battery import BatteryModel, BatteryModelError
 from dronesim.cli import main
 from dronesim.control import Command, DroneState, resolve_position_target
 from dronesim.experiments import variants
-from dronesim.scenario import DroneSpec, LightSpec, Scenario, ScenarioError
+from dronesim.scenario import DroneSpec, LightSpec, Scenario, ScenarioError, WaypointPlan
 
 HOVER = (Path(__file__).resolve().parent.parent / "scenarios" / "hover.scn").read_text()
 CF1 = DroneSpec(id="cf1", position=(0.0, 0.0, 1.0))
@@ -40,6 +41,18 @@ def command(*args, files=()):
 
 def library(call, *args, **kwargs):
     return lambda tmp_path: lambda: call(*args, **kwargs)
+
+
+def wrong_type(location, message, **fields):
+    """A scenario built with ``fields``, one value of the wrong type: the
+    case and its exact ``str`` as a pattern. It must be refused at its key."""
+    case = library(Scenario, **{"drones": (CF1,), **fields})
+    return case, ScenarioError, f"^{re.escape(f'{location}: {message}')}$"
+
+
+def plan(**fields):
+    return {"waypoints": {"cf1": WaypointPlan(**{"speed": 1.0, "points": ((0.0, 0.0, 1.0),),
+                                                 **fields})}}
 
 
 HEADER_ONLY = ("empty.csv", "tick,x\n")
@@ -84,6 +97,44 @@ CASES = [
                  id="waypoints-empty"),
     pytest.param(document("\n[waypoints cf1]\nspeed = 1\npoints =\n    nan 0 1\n"), 2,
                  "error: [waypoints cf1] points: waypoints must be finite", id="waypoints-nan"),
+    # validate_scenario: one value of the wrong type per checked row, which
+    # each check refuses rather than raising a bare TypeError, or letting
+    # through a value that flies but does not render or repeat.
+    *(pytest.param(*wrong_type(location, message, **fields), id=f"type-{name}")
+      for name, location, message, fields in [
+          ("name", "[scenario] name", "name must be alphanumeric with . _ - only",
+           {"name": None}),
+          ("dt", "[scenario] dt", "dt must be > 0", {"dt": "0.1"}),
+          ("duration", "[scenario] duration", "duration must be >= 0", {"duration": None}),
+          # random.Random(None) seeds from the OS: two runs would differ.
+          ("noise-seed", "[scenario] noise_seed", "noise seed must not be None",
+           {"noise_seed": None, "noise_position_std": 0.1, "duration": 20}),
+          ("noise-std", "[scenario] noise_position_std", "noise std must be >= 0",
+           {"noise_position_std": "0"}),
+          ("drone-id", "[drone None] id", "bad drone id", {"drones": (DroneSpec(id=None),)}),
+          ("drone-position", "[drone cf1] position", "position must be finite",
+           {"drones": (DroneSpec(id="cf1", position=None),)}),
+          ("yaw", "[drone cf1] yaw", "yaw must be finite",
+           {"drones": (DroneSpec(id="cf1", yaw=None),)}),
+          ("charge", "[drone cf1] charge", "charge must be in [0, 1]",
+           {"drones": (DroneSpec(id="cf1", charge="1"),)}),
+          # len() of an int raised; a bytearray or str flew, then did not render.
+          *((f"broadcast-{type(payload).__name__}", "[drone cf1] rab_broadcast",
+             "broadcast must be bytes", {"drones": (DroneSpec(id="cf1", rab_broadcast=payload),)})
+            for payload in (5, bytearray(b"\x01"), "01")),
+          ("led-color", "[drone cf1] led_color", "color must be three integers in [0, 255]",
+           {"drones": (DroneSpec(id="cf1", led_color=None),)}),
+          ("light-id", "[light None] id", "bad light id",
+           {"lights": (LightSpec(None, (0.0, 0.0, 1.0)),)}),
+          ("light-position", "[light l1] position", "position must be finite",
+           {"lights": (LightSpec("l1", None),)}),
+          ("light-color", "[light l1] color", "color must be three integers in [0, 255]",
+           {"lights": (LightSpec("l1", (0.0, 0.0, 1.0), color=None),)}),
+          ("speed", "[waypoints cf1] speed", "speed must be > 0", plan(speed=None)),
+          ("threshold", "[waypoints cf1] threshold", "threshold must be > 0",
+           plan(threshold=None)),
+          ("points", "[waypoints cf1] points", "waypoints must be finite", plan(points=(None,))),
+      ]),
     # The scenario reader: each false spelling turns the camera off.
     *(pytest.param(document(f"camera = {off}\ncamera_aperture = 60\n"), 2,
                    "error: [drone cf1] camera: camera keys set but camera is off",
@@ -150,5 +201,6 @@ def test_rejection(case, expected, message, tmp_path, capsys):
         if expected == 2:
             assert len(err.splitlines()) == 1
     else:
-        with pytest.raises(expected, match=message):
+        with pytest.raises(expected, match=message) as info:
             action()
+        assert type(info.value) is expected  # not a subclass, such as ConfigurationError

@@ -451,10 +451,15 @@ def test_documented_keys_match_field_table():
             heading = re.match(r"## `\[(\w+)", line)
             kind = heading.group(1) if heading else None
         elif kind and line.startswith("| `"):
-            documented.setdefault(kind, []).extend(re.findall(r"`(\w+)`", line.split("|")[1]))
+            cells = line.split("|")
+            # The last column is the constraint: the row's check messages.
+            documented.setdefault(kind, []).extend(
+                (key, cells[-2].strip()) for key in re.findall(r"`(\w+)`", cells[1])
+            )
     tables = {"scenario": module._SCENARIO_FIELDS, **module._SECTIONS}
     assert documented == {
-        kind: [f.key for f in fields] for kind, fields in tables.items()
+        kind: [(f.key, "; ".join(message for _, message in f.checks)) for f in fields]
+        for kind, fields in tables.items()
     }
 
 

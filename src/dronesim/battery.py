@@ -78,10 +78,14 @@ class BatteryModel(Value):
         return c0 + t * (c1 + t * (c2 + t * c3))
 
     def charge_at(self, t: float) -> float:
-        """Reported charge after t flight seconds: P(t) before t_max, else 0."""
+        """Reported charge after t flight seconds: P(t) before t_max, else 0.
+
+        ``poly``'s Horner form, inline (pinned to ``poly`` by
+        ``tests/test_shared_conventions.py::test_charge_at_matches_poly``)."""
         if t >= self.t_max:
             return 0.0
-        c = self.poly(t)
+        c0, c1, c2, c3 = self.coeffs
+        c = c0 + t * (c1 + t * (c2 + t * c3))
         return c if c > 0.0 else 0.0
 
     def invert_charge(self, charge: float) -> float:

@@ -42,6 +42,7 @@ from ._value import Value
 from .geometry import (
     Vec3,
     ZERO3,
+    _fmod_wrap_deg,
     body_to_world,
     is_finite3,
     saturate,
@@ -397,8 +398,14 @@ def _position_target(x, y, z, yaw, cmd):
 def next_pose(x, y, z, yaw, vx, vy, vz, yaw_rate: float, dt: float):
     """Semi-implicit Euler step of a pose: the new velocity (vx, vy, vz) and
     yaw rate move the new position and yaw. Returns (x, y, z, yaw) with yaw
-    wrapped to (-180, 180] and nothing clamped, not even at the ground."""
-    return x + vx * dt, y + vy * dt, z + vz * dt, wrap_deg(yaw + yaw_rate * dt)
+    wrapped to (-180, 180] and nothing clamped, not even at the ground.
+
+    The wrap is ``wrap_deg``'s own, inline: its range test, then the fmod
+    wrap only outside it (pinned to ``wrap_deg(yaw + yaw_rate * dt)`` by
+    ``tests/test_shared_conventions.py::test_next_pose_wraps_as_wrap_deg``)."""
+    yaw = yaw + yaw_rate * dt
+    return (x + vx * dt, y + vy * dt, z + vz * dt,
+            yaw if -180.0 < yaw <= 180.0 else _fmod_wrap_deg(yaw))
 
 
 def integrate(state: DroneState, new_velocity: Vec3, new_yaw_rate: float, dt: float) -> DroneState:

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from operator import attrgetter, index
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
 from ._value import Value
-from .battery import STOCK_MODEL
+from .battery import STOCK_MODEL, BatteryModel
 from .camera import CameraConfig
 from .control import BODY, WORLD, Command, ControllerLimits, GainSet
 from .geometry import is_finite3
@@ -128,8 +129,6 @@ def validate_scenario(s: Scenario) -> None:
                     pass
                 raise ScenarioError(message, f"[{header}] {key}")
 
-    if not (is_finite3(s.arena_min) and is_finite3(s.arena_max)):
-        raise ScenarioError("arena bounds must be finite", "[scenario] arena")
     if any(lo >= hi for lo, hi in zip(s.arena_min, s.arena_max)):
         raise ScenarioError("arena_min must be strictly below arena_max on every axis",
                             "[scenario] arena")
@@ -181,9 +180,10 @@ def validate_scenario(s: Scenario) -> None:
 
 
 def is_color(color) -> bool:
-    """Whether ``color`` is three integer channels in [0, 255]; a bool is
-    not a channel, since it would render as ``True`` or ``False``."""
-    return len(color) == 3 and all(
+    """Whether ``color`` is a sequence of three integer channels in
+    [0, 255]; a bool is not a channel, since it would render as ``True`` or
+    ``False``."""
+    return isinstance(color, Sequence) and len(color) == 3 and all(
         isinstance(ch, int) and not isinstance(ch, bool) and 0 <= ch <= 255
         for ch in color
     )
@@ -339,6 +339,7 @@ _GROUPS = {
 }
 
 _POSITION_CHECKS = ((is_finite3, "position must be finite"),)
+_ARENA_CHECKS = ((is_finite3, "arena bounds must be finite"),)
 _COLOR_CHECKS = ((is_color, _BAD_COLOR),)
 
 
@@ -354,8 +355,8 @@ _SCENARIO_FIELDS = (
            ((lambda v: v > 0.0 and math.isfinite(v), "dt must be > 0"),)),
     _Field("duration", _INT, None, "duration", _ALWAYS,
            ((lambda v: not v < 0, "duration must be >= 0"),)),
-    _Field("arena_min", _VEC3, None, "arena_min", _ALWAYS),
-    _Field("arena_max", _VEC3, None, "arena_max", _ALWAYS),
+    _Field("arena_min", _VEC3, None, "arena_min", _ALWAYS, _ARENA_CHECKS),
+    _Field("arena_max", _VEC3, None, "arena_max", _ALWAYS, _ARENA_CHECKS),
     # random.Random(None) would seed from the OS.
     _Field("noise_seed", _INT, None, "noise_seed", _OPTIONAL,
            ((lambda v: v is not None, "noise seed must not be None"),)),
@@ -424,6 +425,26 @@ _CHECKED = {kind: tuple((f.key, f.attr, f.checks) for f in fields if f.checks)
             for kind, fields in _TABLES.items()}
 for _kind in ("drone", "light"):
     _CHECKED[_kind] = (("id", "id", ((_NAME_RE.fullmatch, f"bad {_kind} id"),)), *_CHECKED[_kind])
+
+
+def _group_check(attr: str, cls: type, optional: bool = False) -> tuple:
+    """The checked row of the group object a drone holds at ``attr``."""
+    if optional:
+        return attr, attr, ((lambda v: v is None or isinstance(v, cls),
+                             f"{attr} must be a {cls.__name__} or None"),)
+    return attr, attr, ((lambda v: isinstance(v, cls), f"{attr} must be a {cls.__name__}"),)
+
+
+# Next come a drone's group objects, which its keys are read from.
+_CHECKED["drone"] = (
+    _CHECKED["drone"][0],
+    _group_check("gains", GainSet),
+    _group_check("limits", ControllerLimits),
+    _group_check("camera", CameraConfig, optional=True),
+    _group_check("rab", RabConfig),
+    _group_check("battery", BatteryModel),
+    *_CHECKED["drone"][1:],
+)
 # The drone keys of each group, in table order.
 _GROUP_KEYS = {
     group: tuple(f.key for f in _SECTIONS["drone"] if f.group == group) for group in _GROUPS

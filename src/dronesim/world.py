@@ -9,7 +9,11 @@ determinism and pinned by tests):
     2. kinematics   -- semi-implicit Euler integration of that stored
                        motion, arena clamping, optional seeded jitter
     3. battery      -- discharge curve advances; a drone whose charge
-                       reaches 0 is grounded (velocity zeroed, altitude 0)
+                       reaches 0 is grounded (velocity zeroed, altitude 0).
+                       ``charge_at`` is pure in (model, t), so drones on one
+                       model object at one battery time share one
+                       evaluation: a swarm that starts at one charge on the
+                       stock battery calls it once per tick, not per drone
     4. media        -- staged LED states become visible; messages staged
                        last tick become each sender's ``sent``, delivered
                        this tick
@@ -64,6 +68,7 @@ from .trajectory import Trajectory, TrajectoryRow
 # NamedTuple construction without the generated ``__new__``, a Python-level
 # call per row or state; the fields go in positionally, in their order.
 _new_tuple = tuple.__new__
+_new_object = object.__new__
 _cos, _isfinite, _log, _sin, _sqrt = math.cos, math.isfinite, math.log, math.sin, math.sqrt
 _TWOPI = 2.0 * math.pi  # random.TWOPI
 
@@ -271,8 +276,12 @@ def run(world: World, n_ticks: int):
     trajectories = {}
     appenders = []  # each drone's rows.append, in registry order
     for d in current.drones:
-        trajectory = trajectories[d.spec.id] = Trajectory._unchecked(d.spec.id, [])
-        appenders.append(trajectory.rows.append)
+        # Trajectory's fields set directly: it is mutable and checks nothing.
+        rows = []
+        trajectory = trajectories[d.spec.id] = _new_object(Trajectory)
+        trajectory.drone_id = d.spec.id
+        trajectory.rows = rows
+        appenders.append(rows.append)
     _record(current, appenders)
     for _ in range(n_ticks):
         _advance(current)
@@ -335,14 +344,24 @@ def set_led(world: World, drone_id: str, color: tuple[int, int, int], on: bool) 
 
 
 def rab_send(world: World, drone_id: str, payload: bytes) -> None:
-    """Queue a broadcast; delivered next tick to receivers in range."""
+    """Queue a broadcast; delivered next tick to receivers in range.
+
+    ``payload`` is any bytes-like object, measured in bytes; a value
+    without the buffer protocol (a ``str``, an ``int``, a list) raises
+    TypeError."""
     drone = world.drone(drone_id)
+    try:
+        payload = bytes(memoryview(payload))
+    except TypeError:
+        raise TypeError(
+            f"payload must be a bytes-like object, not {type(payload).__name__!r}"
+        ) from None
     if len(payload) > drone.spec.rab.payload_max:
         raise PayloadError(
             f"payload of {len(payload)} bytes exceeds maximum "
             f"{drone.spec.rab.payload_max}"
         )
-    drone.outbox += (bytes(payload),)
+    drone.outbox += (payload,)
 
 
 def rab_read(world: World, drone_id: str) -> list[RabReading]:
@@ -468,12 +487,19 @@ def _advance(world: World) -> None:
         drone.z = z if z > 0.0 else 0.0
 
     # Phase 3: battery discharge; depletion grounds the drone immediately.
+    # charge_at is pure in (model, t): a drone on the model object and at the
+    # battery time of the last evaluation takes its charge.
+    last_model = last_t = last_charge = None
     for drone in world.drones:
         if not drone.depleted:
             model = drone.spec.battery
-            drone.battery_t += dt * model.load_factor
-            drone.charge = model.charge_at(drone.battery_t)
-            if drone.charge != 0.0:
+            t = drone.battery_t = drone.battery_t + dt * model.load_factor
+            if model is not last_model or t != last_t:
+                last_charge = model.charge_at(t)
+                last_model = model
+                last_t = t
+            drone.charge = last_charge
+            if last_charge != 0.0:
                 continue
             drone.depleted = True
         drone.charge = 0.0

@@ -16,6 +16,7 @@ from dronesim.cli import main
 from dronesim.control import Command, DroneState, resolve_position_target
 from dronesim.experiments import variants
 from dronesim.scenario import DroneSpec, LightSpec, Scenario, ScenarioError, WaypointPlan
+from dronesim.world import create_world, rab_send, set_led
 
 HOVER = (Path(__file__).resolve().parent.parent / "scenarios" / "hover.scn").read_text()
 CF1 = DroneSpec(id="cf1", position=(0.0, 0.0, 1.0))
@@ -48,6 +49,11 @@ def wrong_type(location, message, **fields):
     case and its exact ``str`` as a pattern. It must be refused at its key."""
     case = library(Scenario, **{"drones": (CF1,), **fields})
     return case, ScenarioError, f"^{re.escape(f'{location}: {message}')}$"
+
+
+def on_world(call, *args):
+    """``call`` on a new world of drone cf1, followed by ``args``."""
+    return library(lambda: call(create_world(Scenario(drones=(CF1,))), *args))
 
 
 def plan(**fields):
@@ -122,6 +128,24 @@ CASES = [
           *((f"broadcast-{type(payload).__name__}", "[drone cf1] rab_broadcast",
              "broadcast must be bytes", {"drones": (DroneSpec(id="cf1", rab_broadcast=payload),)})
             for payload in (5, bytearray(b"\x01"), "01")),
+          # Group objects were not checked: None gains validated, then
+          # rendering raised AttributeError, as did the broadcast rule for
+          # rab=None.
+          ("gains", "[drone cf1] gains", "gains must be a GainSet",
+           {"drones": (DroneSpec(id="cf1", gains=None),)}),
+          ("limits", "[drone cf1] limits", "limits must be a ControllerLimits",
+           {"drones": (DroneSpec(id="cf1", limits=10.0),)}),
+          ("camera", "[drone cf1] camera", "camera must be a CameraConfig or None",
+           {"drones": (DroneSpec(id="cf1", camera=True),)}),
+          ("rab", "[drone cf1] rab", "rab must be a RabConfig",
+           {"drones": (DroneSpec(id="cf1", rab=None, rab_broadcast=b"x"),)}),
+          ("battery", "[drone cf1] battery", "battery must be a BatteryModel",
+           {"drones": (DroneSpec(id="cf1", battery=None),)}),
+          # len() of None raised in the arena rule.
+          ("arena-min", "[scenario] arena_min", "arena bounds must be finite",
+           {"arena_min": None}),
+          ("arena-max", "[scenario] arena_max", "arena bounds must be finite",
+           {"arena_max": (1.5, 1.5)}),
           ("led-color", "[drone cf1] led_color", "color must be three integers in [0, 255]",
            {"drones": (DroneSpec(id="cf1", led_color=None),)}),
           ("light-id", "[light None] id", "bad light id",
@@ -186,6 +210,14 @@ CASES = [
                  ValueError, "^not a position command$", id="position-target"),
     pytest.param(library(variants, "nope"), ValueError,
                  "^unknown experiment 'nope'; valid names: ", id="experiment-name"),
+    # is_color raised a bare TypeError for a colour without len().
+    pytest.param(on_world(set_led, "cf1", None, True), ValueError,
+                 r"^color must be three integers in \[0, 255\]$", id="set-led-none"),
+    # len() of an int raised, bytes() of a str raised, a list of ints was sent.
+    *(pytest.param(on_world(rab_send, "cf1", payload), TypeError,
+                   f"^payload must be a bytes-like object, not '{type(payload).__name__}'$",
+                   id=f"rab-send-{type(payload).__name__}")
+      for payload in (5, "ab", [1, 2])),
 ]
 
 

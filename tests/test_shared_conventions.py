@@ -1,6 +1,8 @@
 """Each convention of the camera pose, the battery inversion and the yaw wrap
 has one implementation; these tests hold it to the copies its callers used
-to carry, kept here verbatim (the ``_old_*`` functions), bit for bit."""
+to carry, kept here verbatim (the ``_old_*`` functions), bit for bit. The
+kernel's inline copies (``next_pose``'s wrap, ``charge_at``'s Horner form)
+and its shared battery evaluation are held to the forms they replace."""
 
 import math
 import struct
@@ -16,11 +18,12 @@ from dronesim.battery import (
     battery_time_to_empty,
 )
 from dronesim.camera import RESOLUTION, CameraConfig, Detection, detect_sources
+from dronesim.control import Command, next_pose
 from dronesim.geometry import _fmod_wrap_deg, wrap_deg
 from dronesim.rab import make_reading
 from dronesim.scenario import DroneSpec, Scenario
 from dronesim.trajectory import Trajectory, TrajectoryRow, summarize
-from dronesim.world import create_world
+from dronesim.world import create_world, run, step
 
 
 def bits(value):
@@ -278,3 +281,135 @@ def test_make_reading_wraps_as_the_geometry_helper(receiver, sender, yaw):
     heading = math.atan2(sender[1] - receiver[1], sender[0] - receiver[0])
     expected = _fmod_wrap_deg(heading * (180.0 / math.pi) - yaw)
     assert bits(reading.horizontal_bearing_deg) == bits(expected)
+
+
+# --------------------------------------------------------------------------
+# Kernel inline copies: phase 2's yaw wrap and phase 3's cubic, and phase 3's
+# one evaluation per shared battery clock.
+
+def _old_next_pose(x, y, z, yaw, vx, vy, vz, yaw_rate, dt):
+    return x + vx * dt, y + vy * dt, z + vz * dt, wrap_deg(yaw + yaw_rate * dt)
+
+
+def _old_charge_at(model, t):
+    if t >= model.t_max:
+        return 0.0
+    c = model.poly(t)
+    return c if c > 0.0 else 0.0
+
+
+def pose_bits(pose_fn):
+    return lambda *args: tuple(map(bits, pose_fn(*args)))
+
+
+EDGES = (180.0, -180.0, math.nextafter(180.0, 0.0), math.nextafter(180.0, math.inf),
+         math.nextafter(-180.0, 0.0), math.nextafter(-180.0, -math.inf))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(yaw=st.one_of(st.sampled_from([*EDGES, math.nan, math.inf, -math.inf]), wide,
+                     st.floats()),
+       yaw_rate=st.one_of(st.sampled_from([0.0, -0.0, 90.0, math.nan, math.inf]), st.floats()),
+       dt=st.one_of(st.sampled_from([0.1, 1.0]), st.floats()),
+       move=st.tuples(*[st.floats()] * 6))
+@example(yaw=180.0, yaw_rate=0.0, dt=0.1, move=(0.0,) * 6)
+@example(yaw=-180.0, yaw_rate=0.0, dt=0.1, move=(0.0,) * 6)
+@example(yaw=math.nextafter(180.0, math.inf), yaw_rate=0.0, dt=0.1, move=(0.0,) * 6)
+@example(yaw=math.nextafter(180.0, 0.0), yaw_rate=0.0, dt=0.1, move=(0.0,) * 6)
+@example(yaw=math.nextafter(-180.0, -math.inf), yaw_rate=0.0, dt=0.1, move=(0.0,) * 6)
+@example(yaw=math.nextafter(-180.0, 0.0), yaw_rate=0.0, dt=0.1, move=(0.0,) * 6)
+@example(yaw=170.0, yaw_rate=100.0, dt=0.1, move=(0.0,) * 6)
+@example(yaw=math.nan, yaw_rate=0.0, dt=0.1, move=(0.0,) * 6)
+@example(yaw=math.inf, yaw_rate=0.0, dt=0.1, move=(0.0,) * 6)
+@example(yaw=0.0, yaw_rate=-math.inf, dt=0.1, move=(0.0,) * 6)
+def test_next_pose_wraps_as_wrap_deg(yaw, yaw_rate, dt, move):
+    x, y, z, vx, vy, vz = move
+    args = (x, y, z, yaw, vx, vy, vz, yaw_rate, dt)
+    got = outcome(pose_bits(next_pose), *args)
+    assert got == outcome(pose_bits(_old_next_pose), *args)
+    if not math.isfinite(yaw + yaw_rate * dt) and not math.isnan(yaw + yaw_rate * dt):
+        assert got == ("raise", ValueError, "math domain error")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(m=models, t=st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, "t_max", "below t_max",
+                     "above t_max"]),
+    st.floats(0.0, 500.0), st.floats()))
+@example(m=0, t="t_max")
+@example(m=0, t="below t_max")
+@example(m=1, t="above t_max")
+@example(m=2, t=0.0)
+@example(m=0, t=math.nan)
+@example(m=0, t=-1e300)
+def test_charge_at_matches_poly(m, t):
+    model = MODELS[m]
+    t = {"t_max": model.t_max, "below t_max": math.nextafter(model.t_max, 0.0),
+         "above t_max": math.nextafter(model.t_max, math.inf)}.get(t, t)
+    assert outcome(model.charge_at, t) == outcome(_old_charge_at, model, t)
+
+
+def _alone(scenario, drone):
+    """``scenario`` with ``drone`` as its only drone."""
+    scripts = {k: v for k, v in scenario.scripts.items() if k == drone.id}
+    return scenario._replace(drones=(drone,), scripts=scripts)
+
+
+def _rows(trajectories):
+    return {i: [tuple(map(bits, row)) for row in t.rows] for i, t in trajectories.items()}
+
+
+def _stepped(world, ticks):
+    """The rows of a step() loop over ``ticks`` ticks, as run() records them."""
+    rows = {d.spec.id: [] for d in world.drones}
+    for k in range(ticks + 1):
+        if k:
+            world = step(world)
+        for d in world.drones:
+            rows[d.spec.id].append(tuple(map(bits, (
+                world.tick, world.time_s, d.x, d.y, d.z, d.yaw,
+                d.vx, d.vy, d.vz, d.yaw_rate, d.charge,
+            ))))
+    return rows
+
+
+# Shared objects, objects equal to those but distinct (BatteryModel() is
+# STOCK_MODEL's equal), other load factors, and a curve that starts at the
+# stock one's battery time from a full charge but reads other charges.
+BATTERIES = (STOCK_MODEL, BatteryModel(), BatteryModel(load_factor=2.5),
+             BatteryModel(load_factor=2.5), BatteryModel(load_factor=0.7), MODELS[2])
+
+
+@st.composite
+def battery_swarms(draw):
+    """A scenario whose drones start at charges drawn, interleaved, from a
+    few values (so equal charges recur on equal and on distinct models),
+    some close enough to the cutoff to deplete mid-run, and its tick count."""
+    near_empty = [STOCK_MODEL.charge_at(STOCK_MODEL.t_max - s) for s in (0.05, 3.0, 40.0)]
+    pool = draw(st.lists(st.one_of(st.sampled_from([1.0, 0.5, 0.0, *near_empty]),
+                                   st.floats(0.0, 1.0)), min_size=1, max_size=3))
+    count = draw(st.integers(1, 7))
+    drones = []
+    scripts = {}
+    for i in range(count):
+        drones.append(DroneSpec(id=f"d{i}", position=(0.2 * i - 1.0, 0.0, 1.0),
+                                charge=draw(st.sampled_from(pool)),
+                                battery=draw(st.sampled_from(BATTERIES))))
+        if draw(st.booleans()):
+            scripts[f"d{i}"] = ((0, Command.velocity((0.1, 0.0, 0.2), 30.0)),)
+    dt = draw(st.sampled_from([0.1, 1.0, 5.0]))
+    return Scenario(name="batteries", dt=dt, drones=tuple(drones), scripts=scripts), \
+        draw(st.integers(0, 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=battery_swarms())
+def test_shared_battery_clock_matches_per_drone_evaluation(case):
+    # The reference flies each drone in a world of its own, where no other
+    # drone can share its evaluation; the drones do not interact.
+    scenario, ticks = case
+    expected = {}
+    for drone in scenario.drones:
+        expected.update(_rows(run(create_world(_alone(scenario, drone)), ticks)[1]))
+    assert _rows(run(create_world(scenario), ticks)[1]) == expected
+    assert _stepped(create_world(scenario), ticks) == expected

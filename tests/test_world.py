@@ -654,7 +654,9 @@ def test_sensing_matches_eager_oracle(scenario, data):
     assert_sensing(run(final, 0)[0], eager_sensing(before, final), order)
 
 
-def test_sensing_is_computed_only_when_read(monkeypatch):
+def _count_layer_calls(monkeypatch, charges):
+    """Counts of the four layer calls over a 20-tick run of six drones
+    starting at ``charges``, then over reading every drone's sensors twice."""
     # The counters wrap the four names that perfbench rebinds to time the
     # control, battery, rab and camera layers, so each must stay a name
     # the kernel calls: inlining one would silently zero its layer.
@@ -674,12 +676,12 @@ def test_sensing_is_computed_only_when_read(monkeypatch):
     count(world_mod, "_capture")
     drones = tuple(
         DroneSpec(id=f"cf{i}", position=(0.3 * i - 1.0, 0.0, 1.0), led_on=True,
-                  rab_broadcast=b"hi", camera=CameraConfig() if i % 2 else None)
-        for i in range(6)
+                  rab_broadcast=b"hi", camera=CameraConfig() if i % 2 else None,
+                  charge=charge)
+        for i, charge in enumerate(charges)
     )
     world, _ = run(create_world(Scenario(name="lazy", duration=0, drones=drones)), 20)
-    flown = {"drone_control_step": 6 * 20, "charge_at": 6 * 20}
-    assert calls == {**flown, "make_reading": 0, "_capture": 0}
+    flown = dict(calls)
     for _ in range(2):
         readings = sum(len(world.drone(d.id).inbox) for d in drones)
         for d in drones:
@@ -688,7 +690,23 @@ def test_sensing_is_computed_only_when_read(monkeypatch):
             if d.camera is not None:
                 camera_capture(world, d.id)
     assert readings == 6 * 5
-    assert calls == {**flown, "make_reading": 6 * 5, "_capture": 3}
+    return flown, calls
+
+
+def test_sensing_is_computed_only_when_read(monkeypatch):
+    # Six stock drones at full charge share one battery clock: one charge_at
+    # per tick, not one per drone.
+    flown, read = _count_layer_calls(monkeypatch, [1.0] * 6)
+    assert flown == {"drone_control_step": 6 * 20, "charge_at": 20,
+                     "make_reading": 0, "_capture": 0}
+    assert read == {**flown, "make_reading": 6 * 5, "_capture": 3}
+
+
+def test_distinct_charges_evaluate_the_battery_per_drone(monkeypatch):
+    flown, read = _count_layer_calls(monkeypatch, [1.0, 0.9, 0.8, 0.7, 0.6, 0.5])
+    assert flown == {"drone_control_step": 6 * 20, "charge_at": 6 * 20,
+                     "make_reading": 0, "_capture": 0}
+    assert read == {**flown, "make_reading": 6 * 5, "_capture": 3}
 
 
 def test_stepping_one_world_twice_after_rab_send():
